@@ -468,6 +468,9 @@ func (s *Service) submit(spec Spec, reqID string) (*Job, JobView, error) {
 			return existing, existing.view(), nil
 		}
 	}
+	// The id is set before the queue send, since a worker may pick the
+	// job up at once; nextID advances only once the job is admitted.
+	j.id = fmt.Sprintf("r-%d", s.nextID+1)
 	if entry, hit := s.cache.get(hash); hit {
 		j.cacheHit = true
 		j.status = StatusDone
@@ -491,7 +494,6 @@ func (s *Service) submit(spec Spec, reqID string) (*Job, JobView, error) {
 		s.metrics.cacheMisses.Add(1)
 	}
 	s.nextID++
-	j.id = fmt.Sprintf("r-%d", s.nextID)
 	s.metrics.jobsSubmitted.Add(1)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
