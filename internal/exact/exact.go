@@ -30,6 +30,8 @@ package exact
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/markov"
 )
 
 // BinomialPMF returns the probability mass function of Bin(n, p) as a
@@ -168,10 +170,10 @@ func (c *Chain) AbsorptionTimes() []float64 {
 		return make([]float64, n+1)
 	}
 	a := newAugmented(c, func(i int) []float64 { return []float64{1} })
-	sol := solve(a, m, 1)
+	solve(a, m, 1)
 	t := make([]float64, n+1)
 	for i := 1; i < n; i++ {
-		t[i] = sol[i-1][0]
+		t[i] = a[i-1][m]
 	}
 	return t
 }
@@ -188,9 +190,9 @@ func (c *Chain) WinProbabilities() []float64 {
 		return h
 	}
 	a := newAugmented(c, func(i int) []float64 { return []float64{c.P[i][n]} })
-	sol := solve(a, m, 1)
+	solve(a, m, 1)
 	for i := 1; i < n; i++ {
-		h[i] = sol[i-1][0]
+		h[i] = a[i-1][m]
 	}
 	return h
 }
@@ -274,65 +276,11 @@ func newAugmented(c *Chain, rhs func(i int) []float64) [][]float64 {
 	return a
 }
 
-// minPivot is the degenerate-pivot threshold of the Gaussian solver. The
-// systems solved here are I − Q with O(1) entries, so after partial
-// pivoting any honest pivot is far above it; a pivot below (or a NaN from
-// poisoned input) means the system is singular, and dividing by it would
-// silently turn every returned expectation into ±Inf or NaN.
-const minPivot = 1e-12
-
-// solve runs Gaussian elimination with partial pivoting on the m×(m+k)
-// augmented matrix and returns the k solution columns per row. It panics
-// on a degenerate pivot (see eliminate) rather than returning NaNs.
-func solve(a [][]float64, m, k int) [][]float64 {
-	eliminate(a, m, k)
-	// Back substitution.
-	sol := make([][]float64, m)
-	for r := m - 1; r >= 0; r-- {
-		row := make([]float64, k)
-		for kk := 0; kk < k; kk++ {
-			v := a[r][m+kk]
-			for j := r + 1; j < m; j++ {
-				v -= a[r][j] * sol[j][kk]
-			}
-			row[kk] = v / a[r][r]
-		}
-		sol[r] = row
-	}
-	return sol
-}
-
-// eliminate runs the in-place forward-elimination pass with partial
-// pivoting over the m×(m+k) augmented matrix — the O(m³) hot path of every
-// analytic solve. A zero, denormal or NaN pivot panics immediately: the
-// division below would otherwise propagate garbage into the returned
-// expectations without any error surfacing.
-//
-//consensus:hotpath
-func eliminate(a [][]float64, m, k int) {
-	for col := 0; col < m; col++ {
-		// Pivot.
-		piv := col
-		for r := col + 1; r < m; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
-				piv = r
-			}
-		}
-		pv := math.Abs(a[piv][col])
-		if math.IsNaN(pv) || pv < minPivot {
-			panic("exact: degenerate pivot in linear solve — singular or NaN system (is some transient state absorbing?)")
-		}
-		a[col], a[piv] = a[piv], a[col]
-		// Eliminate below.
-		inv := 1 / a[col][col]
-		for r := col + 1; r < m; r++ {
-			f := a[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			for j := col; j < m+k; j++ {
-				a[r][j] -= f * a[col][j]
-			}
-		}
+// solve solves the m×(m+k) augmented system in place with the shared
+// dense solver (markov.Solve): on return a[r][m+j] holds solution column
+// j. It panics on a degenerate pivot rather than return NaNs.
+func solve(a [][]float64, m, k int) {
+	if !markov.Solve(a, m, k) {
+		panic("exact: degenerate pivot in linear solve — singular or NaN system (is some transient state absorbing?)")
 	}
 }

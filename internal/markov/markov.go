@@ -165,122 +165,112 @@ func (c *GrowthChain) TransitionMatrix() [][]float64 {
 // pivoting. Panics if the system is singular (target unreachable from some
 // state with probability 1 leads to a singular or near-singular system).
 func ExpectedHitting(p [][]float64, targets map[int]bool) []float64 {
-	n := len(p)
-	// Index map for non-target states.
-	idx := make([]int, 0, n)
-	pos := make(map[int]int, n)
-	for i := 0; i < n; i++ {
+	var idx []int // the non-target states
+	for i := range p {
 		if !targets[i] {
-			pos[i] = len(idx)
 			idx = append(idx, i)
 		}
 	}
-	k := len(idx)
-	// Build A = I − Q and b = 1.
-	a := make([][]float64, k)
-	b := make([]float64, k)
+	x := solveTransient(p, idx, func(int) float64 { return 1 })
+	h := make([]float64, len(p))
 	for r, i := range idx {
-		a[r] = make([]float64, k)
-		for cI, j := range idx {
-			v := -p[i][j]
-			if i == j {
-				v += 1
-			}
-			a[r][cI] = v
-		}
-		b[r] = 1
-	}
-	solveInPlace(a, b)
-	h := make([]float64, n)
-	for r, i := range idx {
-		h[i] = b[r]
+		h[i] = x[r]
 	}
 	return h
 }
 
-// minPivot is the degenerate-pivot threshold: the systems here are I − Q
-// with O(1) entries, so a pivot below it — or a NaN from poisoned input —
-// means the system is singular, and dividing by it would silently turn
-// every returned hitting time into ±Inf or NaN.
+// solveTransient solves (I − Q)·x = b, where Q is p restricted to the
+// states idx and b[r] = rhs(idx[r]), panicking on a singular or NaN
+// system.
+func solveTransient(p [][]float64, idx []int, rhs func(i int) float64) []float64 {
+	k := len(idx)
+	a := make([][]float64, k)
+	for r, i := range idx {
+		a[r] = make([]float64, k+1)
+		for c, j := range idx {
+			a[r][c] = -p[i][j]
+		}
+		a[r][r] += 1
+		a[r][k] = rhs(i)
+	}
+	if !Solve(a, k, 1) {
+		panic("markov: degenerate pivot in linear solve — singular or NaN system (unreachable target?)")
+	}
+	x := make([]float64, k)
+	for r := range a {
+		x[r] = a[r][k]
+	}
+	return x
+}
+
+// minPivot is the degenerate-pivot threshold: the systems solved here are
+// I − Q with O(1) entries, so after partial pivoting any honest pivot is
+// far above it; a pivot below (or a NaN from poisoned input) means the
+// system is singular, and dividing by it would silently turn every
+// solution into ±Inf or NaN.
 const minPivot = 1e-12
 
-// solveInPlace solves a·x = b by Gaussian elimination with partial
-// pivoting; the solution is written into b. It panics on a degenerate
-// (zero, denormal or NaN) pivot rather than returning NaNs.
+// Solve solves A·X = B in place by Gaussian elimination with partial
+// pivoting over the m×(m+k) augmented matrix a = (A | B): on success
+// a[r][m+j] holds X[r][j]. It reports false, leaving a partly eliminated,
+// on a degenerate (zero, denormal or NaN) pivot — callers fail loudly
+// rather than return NaNs. This is the one dense solver of the analytic
+// paths (this package's hitting times, internal/exact's absorption
+// statistics) — the O(m³) hot path of every analytic solve.
 //
 //consensus:hotpath
-func solveInPlace(a [][]float64, b []float64) {
-	n := len(a)
-	for col := 0; col < n; col++ {
-		// Pivot.
+func Solve(a [][]float64, m, k int) bool {
+	for col := 0; col < m; col++ {
 		piv := col
-		for r := col + 1; r < n; r++ {
+		for r := col + 1; r < m; r++ {
 			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
 				piv = r
 			}
 		}
 		pv := math.Abs(a[piv][col])
 		if math.IsNaN(pv) || pv < minPivot {
-			panic("markov: degenerate pivot in linear solve — singular or NaN system (unreachable target?)")
+			return false
 		}
 		a[col], a[piv] = a[piv], a[col]
-		b[col], b[piv] = b[piv], b[col]
-		// Eliminate below.
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
+		inv := 1 / a[col][col]
+		for r := col + 1; r < m; r++ {
+			f := a[r][col] * inv
 			if f == 0 {
 				continue
 			}
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+			for j := col; j < m+k; j++ {
+				a[r][j] -= f * a[col][j]
 			}
-			b[r] -= f * b[col]
 		}
 	}
-	// Back substitution.
-	for r := n - 1; r >= 0; r-- {
-		sum := b[r]
-		for c := r + 1; c < n; c++ {
-			sum -= a[r][c] * b[c]
+	// Back substitution: rows below r already hold their solutions.
+	for r := m - 1; r >= 0; r-- {
+		for j := m; j < m+k; j++ {
+			v := a[r][j]
+			for c := r + 1; c < m; c++ {
+				v -= a[r][c] * a[c][j]
+			}
+			a[r][j] = v / a[r][r]
 		}
-		b[r] = sum / a[r][r]
 	}
+	return true
 }
 
 // AbsorptionProbability computes, for each state, the probability of being
 // absorbed in `good` rather than `bad` (both absorbing), by solving
 // q[i] = Σ_j p[i][j]·q[j] with q[good] = 1, q[bad] = 0.
 func AbsorptionProbability(p [][]float64, good, bad int) []float64 {
-	n := len(p)
-	idx := make([]int, 0, n)
-	pos := make(map[int]int, n)
-	for i := 0; i < n; i++ {
+	var idx []int // the transient states
+	for i := range p {
 		if i != good && i != bad {
-			pos[i] = len(idx)
 			idx = append(idx, i)
 		}
 	}
-	k := len(idx)
-	a := make([][]float64, k)
-	b := make([]float64, k)
-	for r, i := range idx {
-		a[r] = make([]float64, k)
-		for cI, j := range idx {
-			v := -p[i][j]
-			if i == j {
-				v += 1
-			}
-			a[r][cI] = v
-		}
-		b[r] = p[i][good]
-	}
-	if k > 0 {
-		solveInPlace(a, b)
-	}
-	q := make([]float64, n)
+	x := solveTransient(p, idx, func(i int) float64 { return p[i][good] })
+	q := make([]float64, len(p))
 	q[good] = 1
 	for r, i := range idx {
-		q[i] = b[r]
+		q[i] = x[r]
 	}
 	return q
 }
