@@ -25,10 +25,13 @@ import (
 
 	"repro/adversary"
 	"repro/consensus"
+	"repro/engine"
 	"repro/internal/analysis"
 	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/exact"
+	"repro/internal/gossip"
+	"repro/internal/initspec"
 	"repro/internal/markov"
 	"repro/internal/papereval"
 	"repro/internal/rng"
@@ -51,12 +54,22 @@ var benchScale = papereval.Scale{
 // count as the "rounds" metric.
 func runSeries(b *testing.B, mk func(seed uint64) consensus.Config) {
 	b.Helper()
+	series(b, func(seed uint64) (int, int64) {
+		res := consensus.Run(mk(seed))
+		return res.Rounds, res.WinnerCount
+	})
+}
+
+// series runs one simulation per iteration and reports the mean round
+// count and winner population.
+func series(b *testing.B, run func(seed uint64) (rounds int, winnerCount int64)) {
+	b.Helper()
 	var rounds, winners int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := consensus.Run(mk(uint64(i + 1)))
-		rounds += int64(res.Rounds)
-		winners += res.WinnerCount
+		r, w := run(uint64(i + 1))
+		rounds += int64(r)
+		winners += w
 	}
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 	b.ReportMetric(float64(winners)/float64(b.N), "agree/op")
@@ -340,21 +353,27 @@ func BenchmarkThm20Phases(b *testing.B) {
 
 func BenchmarkGossipConformance(b *testing.B) {
 	const n = 2_048
-	for _, engine := range []struct {
-		name string
-		e    consensus.Engine
-	}{{"gossip", consensus.EngineGossip}, {"ball", consensus.EngineBall}} {
-		b.Run(engine.name, func(b *testing.B) {
-			runSeries(b, func(seed uint64) consensus.Config {
-				return consensus.Config{
-					Values: consensus.UniformRandom(n, 8, seed),
-					Rule:   rules.Median{},
-					Seed:   seed,
-					Engine: engine.e,
-				}
-			})
+	b.Run("gossip", func(b *testing.B) {
+		series(b, func(seed uint64) (int, int64) {
+			res, err := engine.Execute(engine.Spec{Kind: "gossip", Seed: seed, Payload: &gossip.Spec{
+				Init: initspec.Spec{Kind: "uniform", N: n, M: 8, Seed: seed},
+			}}, nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res.Rounds, res.WinnerCount
 		})
-	}
+	})
+	b.Run("ball", func(b *testing.B) {
+		runSeries(b, func(seed uint64) consensus.Config {
+			return consensus.Config{
+				Values: consensus.UniformRandom(n, 8, seed),
+				Rule:   rules.Median{},
+				Seed:   seed,
+				Engine: consensus.EngineBall,
+			}
+		})
+	})
 }
 
 // --- E13: Lemma 17 — fineness coupling under shared randomness ------------

@@ -7,6 +7,11 @@
 //	mediansim -n 10000 -m 16 -init uniform    # average case, 16 values
 //	mediansim -n 10000 -rule minimum -adversary reviver
 //	mediansim -n 1000000 -init twovalue -engine twobin -adversary balancer -budget sqrt
+//
+// The message-passing network model is not a mediansim engine; it is the
+// simulation service's gossip kind:
+//
+//	consensusctl submit -kind gossip -n 10000 -wait
 package main
 
 import (
@@ -28,7 +33,7 @@ func main() {
 	ruleName := flag.String("rule", "median", "rule: median, majority, minimum, maximum, mean, voter, kmedian2")
 	advName := flag.String("adversary", "none", "adversary: none, balancer, reviver, hider, flipper, noise, splitter")
 	budget := flag.String("budget", "sqrt", "adversary budget: sqrt, sqrtlog, or an integer")
-	engine := flag.String("engine", "auto", "engine: auto, ball, count, twobin, gossip")
+	engine := flag.String("engine", "auto", "engine: "+strings.Join(consensus.EngineNames(), ", ")+" (message passing: consensusctl submit -kind gossip)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	maxRounds := flag.Int("rounds", 0, "round cap (0 = default)")
 	slack := flag.Int("slack", -1, "almost-stable slack (-1 = 3*sqrt(n) when adversarial, else none)")
@@ -48,7 +53,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng, err := parseEngine(*engine)
+	eng, err := consensus.EngineByName(*engine)
 	if err != nil {
 		fatal(err)
 	}
@@ -108,10 +113,6 @@ func main() {
 		for _, row := range plot.LabeledLine(pluralitySeries, 60, 8) {
 			fmt.Println("  " + row)
 		}
-	}
-	if res.Messages.RequestsSent > 0 {
-		fmt.Printf("gossip: %d requests, %d dropped, max in-degree %d\n",
-			res.Messages.RequestsSent, res.Messages.RequestsDropped, res.Messages.MaxInDegree)
 	}
 }
 
@@ -191,22 +192,6 @@ func parseInit(kind string, n, m int, seed uint64) ([]consensus.Value, error) {
 		return consensus.EvenBlocks(n, m), nil
 	}
 	return nil, fmt.Errorf("unknown init %q", kind)
-}
-
-func parseEngine(s string) (consensus.Engine, error) {
-	switch s {
-	case "auto":
-		return consensus.EngineAuto, nil
-	case "ball":
-		return consensus.EngineBall, nil
-	case "count":
-		return consensus.EngineCount, nil
-	case "twobin":
-		return consensus.EngineTwoBin, nil
-	case "gossip":
-		return consensus.EngineGossip, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q", s)
 }
 
 func fatal(err error) {

@@ -80,20 +80,3 @@ func TestParseInit(t *testing.T) {
 		t.Fatalf("m=0 default: %v %v", vals, err)
 	}
 }
-
-func TestParseEngine(t *testing.T) {
-	want := map[string]consensus.Engine{
-		"auto": consensus.EngineAuto, "ball": consensus.EngineBall,
-		"count": consensus.EngineCount, "twobin": consensus.EngineTwoBin,
-		"gossip": consensus.EngineGossip,
-	}
-	for s, e := range want {
-		got, err := parseEngine(s)
-		if err != nil || got != e {
-			t.Fatalf("parseEngine(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := parseEngine("nonsense"); err == nil {
-		t.Fatal("unknown engine must error")
-	}
-}

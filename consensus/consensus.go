@@ -23,19 +23,19 @@
 //
 // # Engines
 //
-// Four interchangeable engines execute the same protocol contract:
+// Three interchangeable engines execute the same protocol contract:
 //
 //   - EngineBall: exact per-process simulation (supports every adversary
 //     hook, observers, parallel execution).
 //   - EngineCount: distribution-level simulation, O(m) memory.
 //   - EngineTwoBin: exact binomial-update simulation for two-value states,
 //     O(1) memory per round — usable with n up to 2^62.
-//   - EngineGossip: full message-passing simulation of the paper's network
-//     model (private peer numberings, per-round request caps, adversarially
-//     selected drops).
 //
 // EngineAuto picks the fastest engine that supports the requested
-// configuration.
+// configuration. The full message-passing simulation of the paper's
+// network model (private peer numberings, per-round request caps,
+// adversarially selected drops) is the "gossip" spec kind, run through
+// engine.Execute.
 package consensus
 
 import (
@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/core"
-	"repro/internal/gossip"
 	"repro/internal/model"
 	"repro/internal/rng"
 )
@@ -86,8 +85,6 @@ const (
 	EngineCount
 	// EngineTwoBin is the exact binomial two-value engine.
 	EngineTwoBin
-	// EngineGossip is the message-passing network simulator.
-	EngineGossip
 )
 
 // Timing selects when the adversary acts (see the paper's two models).
@@ -129,24 +126,9 @@ type Config struct {
 	// Workers parallelises the ball engine (0/1 = sequential).
 	Workers int
 	// Observer, when non-nil, receives the per-round distribution (every
-	// engine, gossip included). Slices are reused across calls.
+	// engine). Slices are reused across calls.
 	Observer func(round int, vals []Value, counts []int64)
-	// Gossip configures EngineGossip (ignored otherwise).
-	Gossip GossipConfig
 }
-
-// GossipConfig carries the message-passing model's knobs.
-type GossipConfig struct {
-	// CapFactor scales the per-round request capacity ⌈CapFactor·log₂ n⌉;
-	// 0 = default 4; negative = unlimited.
-	CapFactor float64
-	// Selector decides which requests saturated processes answer
-	// (nil = arrival order). See gossipx for adversarial selectors.
-	Selector DropSelector
-}
-
-// DropSelector re-exports the gossip drop-selection contract.
-type DropSelector = gossip.DropSelector
 
 // Result reports the outcome of a run.
 type Result struct {
@@ -160,15 +142,6 @@ type Result struct {
 	WinnerCount int64
 	// StableSince is the first round of the final stability window.
 	StableSince int
-	// Messages holds gossip-engine telemetry (zero for other engines).
-	Messages MessageStats
-}
-
-// MessageStats reports message-level telemetry from EngineGossip.
-type MessageStats struct {
-	RequestsSent    int64
-	RequestsDropped int64
-	MaxInDegree     int
 }
 
 // String renders the result compactly.
@@ -185,41 +158,7 @@ func Run(cfg Config) Result {
 	if cfg.Rule == nil {
 		panic("consensus: Config.Rule is nil")
 	}
-	initial := assign.Config(cfg.Values)
-	engine := cfg.Engine
-	if engine == EngineAuto {
-		d := initial.Dist()
-		engine = pick(d.N(), d.Support(), cfg)
-	}
-	switch engine {
-	case EngineBall:
-		return fromCore(core.NewBallEngine(initial, cfg.Rule, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
-	case EngineCount:
-		return fromCore(core.NewCountEngine(initial, cfg.Rule, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
-	case EngineTwoBin:
-		return runTwoBin(cfg, initial.Dist())
-	case EngineGossip:
-		nw := gossip.New(initial, cfg.Rule, cfg.Adversary, cfg.Seed, gossip.Options{
-			CapFactor:   cfg.Gossip.CapFactor,
-			Selector:    cfg.Gossip.Selector,
-			MaxRounds:   cfg.MaxRounds,
-			AlmostSlack: cfg.AlmostSlack,
-			Window:      cfg.Window,
-			Observer:    cfg.Observer,
-		})
-		res := nw.Run()
-		return Result{
-			Rounds: res.Rounds, Reason: res.Reason,
-			Winner: res.Winner, WinnerCount: res.WinnerCount,
-			Messages: MessageStats{
-				RequestsSent:    res.Stats.RequestsSent,
-				RequestsDropped: res.Stats.RequestsDropped,
-				MaxInDegree:     res.Stats.MaxInDegree,
-			},
-		}
-	default:
-		panic("consensus: unknown engine")
-	}
+	return run(cfg, assign.Config(cfg.Values), assign.Dist{})
 }
 
 // Dist is the distribution-level initial state: Vals lists the distinct
@@ -232,10 +171,9 @@ type Dist = assign.Dist
 // initial state: cfg.Values is ignored and the count-capable engines
 // (EngineCount, EngineTwoBin) run directly on the distribution in O(m)
 // memory. EngineAuto picks among the engines exactly as Run does — when it
-// (or an explicit cfg.Engine) lands on a per-process engine (EngineBall,
-// EngineGossip), the distribution is expanded to the O(n) vector, so the
-// contract stays total; callers chasing the n ~ 10⁹ regime should pin
-// EngineCount or EngineTwoBin.
+// (or an explicit cfg.Engine) lands on EngineBall, the distribution is
+// expanded to the O(n) vector, so the contract stays total; callers
+// chasing the n ~ 10⁹ regime should pin EngineCount or EngineTwoBin.
 func RunDist(cfg Config, d Dist) Result {
 	if len(d.Vals) == 0 {
 		panic("consensus: RunDist with an empty distribution")
@@ -243,19 +181,34 @@ func RunDist(cfg Config, d Dist) Result {
 	if cfg.Rule == nil {
 		panic("consensus: Config.Rule is nil")
 	}
+	return run(cfg, nil, d)
+}
+
+// run is the library's one dispatch: it resolves EngineAuto through pick
+// and starts the engine on the initial state in the form the engine
+// needs. The caller holds either the per-process vector (values, from
+// Run) or the distribution (d, from RunDist); the other form is derived
+// only when the chosen engine needs it.
+func run(cfg Config, values assign.Config, d assign.Dist) Result {
 	engine := cfg.Engine
+	if engine != EngineBall && d.Vals == nil {
+		d = values.Dist()
+	}
 	if engine == EngineAuto {
 		engine = pick(d.N(), d.Support(), cfg)
 	}
 	switch engine {
+	case EngineBall:
+		if values == nil {
+			values = assign.Expand(d)
+		}
+		return fromCore(core.NewBallEngine(values, cfg.Rule, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
 	case EngineCount:
 		return fromCore(core.NewCountEngineDist(d, cfg.Rule, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
 	case EngineTwoBin:
 		return runTwoBin(cfg, d)
 	default:
-		cfg.Values = assign.Expand(d)
-		cfg.Engine = engine
-		return Run(cfg)
+		panic("consensus: unknown engine")
 	}
 }
 

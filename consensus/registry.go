@@ -20,7 +20,6 @@ var engineNames = map[string]Engine{
 	"ball":   EngineBall,
 	"count":  EngineCount,
 	"twobin": EngineTwoBin,
-	"gossip": EngineGossip,
 }
 
 // EngineByName resolves a serialized engine name ("" means "auto").

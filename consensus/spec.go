@@ -74,39 +74,51 @@ func (s *Spec) Validate() error {
 // Population implements engine.Payload.
 func (s *Spec) Population() int64 { return initspec.Size(s.Init) }
 
-// Run implements engine.Payload. The observer is installed
-// unconditionally: engine auto-selection depends on whether an observer is
-// present, so a run must not change engine (and hence trajectory) based on
-// whether anyone is watching — the RunContext observer is always non-nil,
-// so every run of the same spec picks the same engine and produces the
-// same result.
+// plan is the kind's one engine decision. It builds the run's Config
+// with its observer wired to ctx and resolves the engine into cfg.Engine,
+// returning the config and the population n. The observer is always
+// installed: pick treats an observed run differently, and the spec path
+// always observes (the RunContext observer is never nil), so every run
+// of one spec — and its admission charge — resolves to the same engine,
+// whoever is watching.
 //
-// The engine resolves here, at spec level (population and support bound
-// from the init registry, no O(n) pre-pass): runs landing on the
-// count-capable engines (count, twobin) build their start state with
-// BuildInitDist and execute through RunDist, so a huge-n count run never
-// materializes the O(n) value vector; only the per-process engines fall
-// back to BuildInit.
-func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
+// The engine resolves at spec level, from the population and support
+// bound of the init registry, with no O(n) pre-pass. An init kind that
+// cannot report its size leaves EngineAuto to the library dispatch, which
+// resolves it after materializing the state.
+func (s *Spec) plan(ctx engine.RunContext) (Config, int64, error) {
+	n := initspec.Size(s.Init)
 	cfg, err := s.components(ctx.MaxRounds)
+	if err != nil {
+		return Config{}, n, err
+	}
+	cfg.Seed = ctx.Seed
+	observed := n
+	cfg.Observer = func(round int, vals []Value, counts []int64) {
+		if observed == 0 { // size unknown up front: count the materialized state
+			for _, c := range counts {
+				observed += c
+			}
+		}
+		ctx.Observe(engine.LeaderRecord(round, observed, vals, counts))
+	}
+	if cfg.Engine == EngineAuto && n > 0 {
+		cfg.Engine = pick(n, int(initspec.Support(s.Init)), cfg)
+	}
+	return cfg, n, nil
+}
+
+// Run implements engine.Payload. Runs landing on the count-capable
+// engines (count, twobin) build their start state with BuildInitDist and
+// execute through RunDist, so a huge-n count run never materializes the
+// O(n) value vector; only the per-process engine builds it with BuildInit.
+func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
+	cfg, _, err := s.plan(ctx)
 	if err != nil {
 		return engine.Result{}, err
 	}
-	cfg.Seed = ctx.Seed
-	n := initspec.Size(s.Init)
-	cfg.Observer = func(round int, vals []Value, counts []int64) {
-		ctx.Observe(engine.LeaderRecord(round, n, vals, counts))
-	}
-	resolved := cfg.Engine
-	if resolved == EngineAuto && n > 0 {
-		// pick sees the observer already installed, so it resolves exactly
-		// as Run would after materializing (twobin is only ever explicit
-		// on the spec path).
-		resolved = pick(n, int(initspec.Support(s.Init)), cfg)
-		cfg.Engine = resolved
-	}
 	var out Result
-	switch resolved {
+	switch cfg.Engine {
 	case EngineCount, EngineTwoBin:
 		d, err := initspec.BuildDist(s.Init)
 		if err != nil {
@@ -118,7 +130,6 @@ func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
 		if err != nil {
 			return engine.Result{}, err
 		}
-		n = int64(len(cfg.Values)) // unknown-size kinds: observe the real n
 		out = Run(cfg)
 	}
 	return engine.Result{
@@ -135,17 +146,11 @@ func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
 // count-capable engines hold the distribution, O(support), never the
 // O(n) vector — which is what admission control should charge for.
 func (s *Spec) MaterializedSize() int64 {
-	n := initspec.Size(s.Init)
-	cfg, err := s.components(0)
+	cfg, n, err := s.plan(engine.RunContext{})
 	if err != nil {
 		return n
 	}
-	cfg.Observer = func(int, []Value, []int64) {} // the spec path always observes
-	resolved := cfg.Engine
-	if resolved == EngineAuto && n > 0 {
-		resolved = pick(n, int(initspec.Support(s.Init)), cfg)
-	}
-	switch resolved {
+	switch cfg.Engine {
 	case EngineCount, EngineTwoBin:
 		if k := initspec.Support(s.Init); k > 0 && k < n {
 			return k
@@ -237,14 +242,6 @@ type medianEngine struct{}
 func (medianEngine) NewPayload() engine.Payload { return &Spec{} }
 
 func (medianEngine) Descriptor() engine.Descriptor {
-	// The gossip engine is a spec kind of its own; the median kind only
-	// exposes the balls-and-bins simulators.
-	engines := make([]string, 0, 4)
-	for _, name := range EngineNames() {
-		if name != "gossip" {
-			engines = append(engines, name)
-		}
-	}
 	params := engine.ScalarInitParams(initspec.Kinds())
 	params = append(params, engine.RuleRefParams(rules.Names(), "")...)
 	params = append(params, engine.AdversaryRefParams(adversary.Names())...)
@@ -252,7 +249,7 @@ func (medianEngine) Descriptor() engine.Descriptor {
 		engine.Param{Name: "almost_slack", Type: "int", Min: engine.Bound(0), Doc: "almost-stable slack (0 = off)"},
 		engine.Param{Name: "window", Type: "int", Min: engine.Bound(0), Default: "8", Doc: "stability window"},
 		engine.Param{Name: "timing", Type: "string", Default: "before-round", Enum: []string{"before-round", "after-choices"}, Doc: "adversary hook point"},
-		engine.Param{Name: "engine", Type: "string", Default: "auto", Enum: engines, Doc: "balls-and-bins simulator"},
+		engine.Param{Name: "engine", Type: "string", Default: "auto", Enum: EngineNames(), Doc: "balls-and-bins simulator"},
 		engine.Param{Name: "workers", Type: "int", Min: engine.Bound(0), Doc: "ball-engine parallelism (0/1 = sequential)"},
 	)
 	return engine.Descriptor{

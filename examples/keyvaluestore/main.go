@@ -18,22 +18,25 @@
 //
 // Each replica runs the median rule over version IDs via gossip: per round
 // it sends value requests to two uniformly random peers, answers at most
-// O(log n) requests itself (overloaded replicas drop the excess — here the
-// drop choice is adversarial, the worst case the paper allows), and adopts
-// the median of its own and the two fetched versions.
+// O(log n) requests itself (overloaded replicas drop the excess), and
+// adopts the median of its own and the two fetched versions.
 //
 // The demo measures what a storage operator cares about: rounds to
 // re-convergence, messages per replica per round, request-drop rate under
-// the cap, and behaviour when a fraction of fetches is lost.
+// the cap, and behaviour under continuous corruption.
+//
+// The simulation is the "gossip" spec kind, run through the same
+// engine.Execute path the simulation service uses.
 package main
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/adversary"
 	"repro/consensus"
-	"repro/rules"
+	"repro/service"
 )
 
 const nReplicas = 8_192
@@ -54,34 +57,44 @@ func main() {
 	for v := consensus.Value(6800); len(versions) < nReplicas; v++ {
 		versions = append(versions, v) // stale tail, all distinct
 	}
+	ids, counts := versionBlocks(versions)
 
 	fmt.Printf("cluster of %d replicas, %d distinct versions after partition heal\n\n",
-		nReplicas, countDistinct(versions))
+		nReplicas, len(ids))
+
+	// The spec's "blocks" init gives the replicas holding the i-th smallest
+	// version the value i+1. The median rule only compares values, so this
+	// order-preserving relabeling runs the same dynamics; winners map back
+	// through ids.
+	run := func(seed uint64, maxRounds int, payload service.GossipSpec) service.RunResult {
+		payload.Init = service.InitSpec{Kind: "blocks", Counts: counts}
+		res, err := service.Execute(service.Spec{
+			Kind: service.KindGossip, Seed: seed, MaxRounds: maxRounds, Payload: &payload,
+		}, nil, nil)
+		if err != nil {
+			panic(err)
+		}
+		return res
+	}
+	describe := func(res service.RunResult) string {
+		return fmt.Sprintf("%s after %d rounds (version %d held by %d)",
+			res.Reason, res.Rounds, ids[res.Winner-1], res.WinnerCount)
+	}
 
 	// --- 1. Clean reconciliation on the message-passing model. ---------
-	res := consensus.Run(consensus.Config{
-		Values: clone(versions),
-		Rule:   rules.Median{},
-		Seed:   2024,
-		Engine: consensus.EngineGossip,
-	})
-	perReplica := float64(res.Messages.RequestsSent) / float64(nReplicas) / float64(max(res.Rounds, 1))
-	fmt.Printf("reconciliation: %v\n", res)
+	res := run(2024, 0, service.GossipSpec{})
+	msgs := res.Messages
+	perReplica := float64(msgs.RequestsSent) / float64(nReplicas) / float64(max(res.Rounds, 1))
+	fmt.Printf("reconciliation: %s\n", describe(res))
 	fmt.Printf("  requests/replica/round: %.2f   dropped: %d (%.4f%%)   max in-degree: %d\n\n",
-		perReplica, res.Messages.RequestsDropped,
-		100*float64(res.Messages.RequestsDropped)/float64(res.Messages.RequestsSent),
-		res.Messages.MaxInDegree)
+		perReplica, msgs.RequestsDropped,
+		100*float64(msgs.RequestsDropped)/float64(msgs.RequestsSent),
+		msgs.MaxInDegree)
 
 	// --- 2. Tight request caps: overloaded replicas drop requests. -----
-	fmt.Println("under request-cap pressure (adversarial drop selection):")
+	fmt.Println("under request-cap pressure (overloaded replicas answer in arrival order):")
 	for _, capFactor := range []float64{4, 1, 0.5} {
-		r := consensus.Run(consensus.Config{
-			Values: clone(versions),
-			Rule:   rules.Median{},
-			Seed:   2025,
-			Engine: consensus.EngineGossip,
-			Gossip: consensus.GossipConfig{CapFactor: capFactor},
-		})
+		r := run(2025, 0, service.GossipSpec{CapFactor: capFactor})
 		fmt.Printf("  cap %.1f·log2(n): %3d rounds, drop rate %6.3f%%\n",
 			capFactor, r.Rounds,
 			100*float64(r.Messages.RequestsDropped)/float64(r.Messages.RequestsSent))
@@ -92,31 +105,30 @@ func main() {
 	// back to stale versions. The cluster still pins all but O(√n)
 	// replicas to one version, forever — and every individual corruption
 	// is healed within a few rounds.
-	noise := adversary.NewRandomNoise(adversary.Sqrt(0.5))
-	res = consensus.Run(consensus.Config{
-		Values:      clone(versions),
-		Rule:        rules.Median{},
-		Adversary:   noise,
+	noise := adversary.Ref{Name: "random-noise", Budget: adversary.BudgetSpec{Kind: "sqrt", Factor: 0.5}}
+	budget, err := noise.Budget.Func()
+	if err != nil {
+		panic(err)
+	}
+	res = run(2026, 10_000, service.GossipSpec{
+		Adversary:   &noise,
 		AlmostSlack: 3 * int(math.Sqrt(nReplicas)),
-		MaxRounds:   10_000,
-		Seed:        2026,
-		Engine:      consensus.EngineGossip,
 	})
-	fmt.Printf("\nwith continuous corruption of %d replicas/round: %v\n", noise.Budget(nReplicas), res)
+	fmt.Printf("\nwith continuous corruption of %d replicas/round: %s\n", budget(nReplicas), describe(res))
 	fmt.Printf("  (almost stable consensus: >= n − 3·sqrt(n) = %d replicas pinned)\n",
 		nReplicas-3*int(math.Sqrt(nReplicas)))
 }
 
-func countDistinct(vals []consensus.Value) int {
-	seen := make(map[consensus.Value]bool, len(vals))
-	for _, v := range vals {
-		seen[v] = true
+// versionBlocks returns the sorted distinct versions and how many replicas
+// hold each.
+func versionBlocks(versions []consensus.Value) (ids []consensus.Value, counts []int64) {
+	sorted := slices.Sorted(slices.Values(versions))
+	for i, v := range sorted {
+		if i == 0 || v != sorted[i-1] {
+			ids = append(ids, v)
+			counts = append(counts, 0)
+		}
+		counts[len(counts)-1]++
 	}
-	return len(seen)
-}
-
-func clone(vals []consensus.Value) []consensus.Value {
-	out := make([]consensus.Value, len(vals))
-	copy(out, vals)
-	return out
+	return ids, counts
 }

@@ -6,12 +6,14 @@ import (
 
 	"repro/adversary"
 	"repro/consensus"
+	"repro/engine"
 	"repro/internal/analysis"
 	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/experiment"
 	"repro/internal/gossip"
+	"repro/internal/initspec"
 	"repro/internal/markov"
 	"repro/internal/model"
 	"repro/internal/rng"
@@ -231,28 +233,38 @@ func E11Thm20Phases(s Scale) Report {
 func E12GossipConformance(s Scale) Report {
 	ns := s.Ns
 	if len(ns) > 2 {
-		ns = ns[:2] // the gossip engine is O(n) memory per round; keep modest
+		ns = ns[:2] // the gossip kind is O(n) memory per round; keep modest
 	}
-	task := func(engine consensus.Engine, base uint64) []experiment.Cell {
+	task := func(base uint64, rounds func(n int, seed uint64) int) []experiment.Cell {
 		return experiment.Sweep(experiment.Task{
 			Name: "conformance",
 			Keys: []string{"n"},
 			Grid: experiment.Grid1(ns...),
 			Reps: s.Reps,
 			Run: func(p []float64, seed uint64) float64 {
-				n := int(p[0])
-				return float64(consensus.Run(consensus.Config{
-					Values:    consensus.EvenBlocks(n, 4),
-					Rule:      rules.Median{},
-					Seed:      seed,
-					MaxRounds: s.MaxRounds,
-					Engine:    engine,
-				}).Rounds)
+				return float64(rounds(int(p[0]), seed))
 			},
 		}, base, s.Workers)
 	}
-	gossipCells := task(consensus.EngineGossip, 1201)
-	ballCells := task(consensus.EngineBall, 1202)
+	gossipCells := task(1201, func(n int, seed uint64) int {
+		res, err := engine.Execute(engine.Spec{
+			Kind: "gossip", Seed: seed, MaxRounds: s.MaxRounds,
+			Payload: &gossip.Spec{Init: initspec.Spec{Kind: "evenblocks", N: n, M: 4}},
+		}, nil, nil)
+		if err != nil {
+			panic(err)
+		}
+		return res.Rounds
+	})
+	ballCells := task(1202, func(n int, seed uint64) int {
+		return consensus.Run(consensus.Config{
+			Values:    consensus.EvenBlocks(n, 4),
+			Rule:      rules.Median{},
+			Seed:      seed,
+			MaxRounds: s.MaxRounds,
+			Engine:    consensus.EngineBall,
+		}).Rounds
+	})
 	tab := &experiment.Table{
 		Title:  "message-passing network vs balls-and-bins abstraction (mean rounds)",
 		Header: []string{"n", "gossip", "ball", "rel diff"},

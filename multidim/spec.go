@@ -91,29 +91,43 @@ func (s *Spec) Normalize() {
 	}
 }
 
+// resolve is the kind's one engine decision: it builds the adversary and
+// resolves the engine selector, rejecting a count engine the adversary
+// cannot run on. "auto" picks through PickEngine on the spec-level
+// (n, support-bound) pair, which is deterministic in the spec, so a cached
+// result and a fresh run of the same spec always took the same engine.
+// Validate, MaterializedSize and Run all take their answer from here, so
+// validation, admission and execution cannot disagree.
+func (s *Spec) resolve() (Adversary, string, error) {
+	var adv Adversary
+	if a := s.Adversary; a != nil {
+		var err error
+		if adv, err = NewAdversary(a.Name, a.Params); err != nil {
+			return nil, "", err
+		}
+	}
+	switch s.Engine {
+	case "", EngineAuto:
+		return adv, PickEngine(InitSize(s.Init), InitSupport(s.Init), adv), nil
+	case EngineProcess:
+		return adv, EngineProcess, nil
+	case EngineCount:
+		if !CountCompatible(adv) {
+			return nil, "", fmt.Errorf("multidim: adversary %q has no count-level implementation (CountAdversary); use engine %q or %q", s.Adversary.Name, EngineProcess, EngineAuto)
+		}
+		return adv, EngineCount, nil
+	default:
+		return nil, "", fmt.Errorf("multidim: unknown engine %q (known: %v)", s.Engine, EngineNames())
+	}
+}
+
 // Validate implements engine.Payload.
 func (s *Spec) Validate() error {
 	if err := CheckInit(s.Init); err != nil {
 		return err
 	}
-	var adv Adversary
-	if a := s.Adversary; a != nil {
-		var err error
-		adv, err = NewAdversary(a.Name, a.Params)
-		if err != nil {
-			return err
-		}
-	}
-	switch s.Engine {
-	case "", EngineAuto, EngineProcess:
-	case EngineCount:
-		if adv != nil && !CountCompatible(adv) {
-			return fmt.Errorf("multidim: adversary %q has no count-level implementation (CountAdversary); use engine %q or %q", s.Adversary.Name, EngineProcess, EngineAuto)
-		}
-	default:
-		return fmt.Errorf("multidim: unknown engine %q (known: %v)", s.Engine, EngineNames())
-	}
-	return nil
+	_, _, err := s.resolve()
+	return err
 }
 
 // Population implements engine.Payload.
@@ -122,23 +136,10 @@ func (s *Spec) Population() int64 { return InitSize(s.Init) }
 // MaterializedSize implements engine.Materializer: runs landing on the
 // count engine hold the distribution over at most InitSupport distinct
 // tuples — O(k·d) memory, independent of n — which is what admission
-// control should charge for. The engine resolves exactly as Run resolves
-// it, so admission and execution always agree.
+// control should charge for.
 func (s *Spec) MaterializedSize() int64 {
 	n := InitSize(s.Init)
-	var adv Adversary
-	if a := s.Adversary; a != nil {
-		var err error
-		adv, err = NewAdversary(a.Name, a.Params)
-		if err != nil {
-			return n
-		}
-	}
-	selected := s.Engine
-	if selected == "" || selected == EngineAuto {
-		selected = PickEngine(n, InitSupport(s.Init), adv)
-	}
-	if selected == EngineCount && CountCompatible(adv) {
+	if _, eng, err := s.resolve(); err == nil && eng == EngineCount {
 		if k := InitSupport(s.Init); k > 0 && k < n {
 			return k
 		}
@@ -146,49 +147,29 @@ func (s *Spec) MaterializedSize() int64 {
 	return n
 }
 
-// Run implements engine.Payload. The engine selector resolves here:
-// "auto" picks through PickEngine on the spec-level (n, support-bound)
-// pair, which is deterministic in the spec, so a cached result and a fresh
-// run of the same spec always took the same engine — and the count path
-// builds its start state with BuildInitCounts, so a count (or
-// auto-resolved-to-count) run never materializes the O(n·d) point slice;
-// only the process engine falls back to BuildInit.
+// Run implements engine.Payload. The count path builds its start state
+// with BuildInitCounts, so a count (or auto-resolved-to-count) run never
+// materializes the O(n·d) point slice; only the process engine falls back
+// to BuildInit.
 func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
-	var adv Adversary
-	var err error
-	if a := s.Adversary; a != nil {
-		adv, err = NewAdversary(a.Name, a.Params)
-		if err != nil {
-			return engine.Result{}, err
-		}
-	}
-	selected := s.Engine
-	if selected == "" || selected == EngineAuto {
-		selected = PickEngine(InitSize(s.Init), InitSupport(s.Init), adv)
+	adv, eng, err := s.resolve()
+	if err != nil {
+		return engine.Result{}, err
 	}
 	var out Result
-	switch selected {
-	case EngineCount:
-		if !CountCompatible(adv) {
-			return engine.Result{}, fmt.Errorf("multidim: adversary %q has no count-level implementation (CountAdversary)", s.Adversary.Name)
-		}
+	if eng == EngineCount {
 		tuples, counts, err := BuildInitCounts(s.Init)
 		if err != nil {
 			return engine.Result{}, err
 		}
-		var countAdv CountAdversary
-		if adv != nil {
-			countAdv = adv.(CountAdversary)
-		}
+		countAdv, _ := adv.(CountAdversary)
 		out = s.runCount(ctx, tuples, counts, countAdv)
-	case EngineProcess:
+	} else {
 		pts, err := BuildInit(s.Init)
 		if err != nil {
 			return engine.Result{}, err
 		}
 		out = s.runProcess(ctx, pts, adv)
-	default:
-		return engine.Result{}, fmt.Errorf("multidim: unknown engine %q (known: %v)", selected, EngineNames())
 	}
 	reason := model.StopMaxRounds
 	if out.Consensus {
