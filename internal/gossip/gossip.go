@@ -187,20 +187,21 @@ func New(cfg assign.Config, rule model.Rule, adv model.Adversary, seed uint64, o
 		}
 		nw.perms[i] = row
 	}
-	cf := opts.CapFactor
-	switch {
-	case cf == 0:
-		cf = DefaultCapFactor
-	case cf < 0:
-		nw.cap = n // effectively unlimited
-	}
-	if nw.cap == 0 {
-		nw.cap = int(math.Ceil(cf * math.Log2(float64(n))))
-		if nw.cap < 1 {
-			nw.cap = 1
-		}
-	}
+	nw.cap = Capacity(n, opts.CapFactor)
 	return nw
+}
+
+// Capacity is the per-round incoming-request capacity of each process in
+// a network of n: ⌈capFactor·log₂ n⌉, at least 1. capFactor 0 means
+// DefaultCapFactor; a negative capFactor means unlimited (n).
+func Capacity(n int, capFactor float64) int {
+	switch {
+	case capFactor < 0:
+		return n
+	case capFactor == 0:
+		capFactor = DefaultCapFactor
+	}
+	return max(1, int(math.Ceil(capFactor*math.Log2(float64(n)))))
 }
 
 func allowedOf(cfg assign.Config) []Value {

@@ -247,14 +247,7 @@ func E12GossipConformance(s Scale) Report {
 		}, base, s.Workers)
 	}
 	gossipCells := task(1201, func(n int, seed uint64) int {
-		res, err := engine.Execute(engine.Spec{
-			Kind: "gossip", Seed: seed, MaxRounds: s.MaxRounds,
-			Payload: &gossip.Spec{Init: initspec.Spec{Kind: "evenblocks", N: n, M: 4}},
-		}, nil, nil)
-		if err != nil {
-			panic(err)
-		}
-		return res.Rounds
+		return runGossip(n, seed, s.MaxRounds, 0).Rounds
 	})
 	ballCells := task(1202, func(n int, seed uint64) int {
 		return consensus.Run(consensus.Config{
@@ -286,6 +279,19 @@ func E12GossipConformance(s Scale) Report {
 		Tables:  []*experiment.Table{tab},
 		Verdict: fmt.Sprintf("worst relative difference in mean convergence rounds: %.1f%%", worst*100),
 	}
+}
+
+// runGossip runs the gossip kind on n processes spread evenly over four
+// values, the workload of E12 and E17.
+func runGossip(n int, seed uint64, maxRounds int, capFactor float64) engine.Result {
+	res, err := engine.Execute(engine.Spec{
+		Kind: "gossip", Seed: seed, MaxRounds: maxRounds,
+		Payload: &gossip.Spec{Init: initspec.Spec{Kind: "evenblocks", N: n, M: 4}, CapFactor: capFactor},
+	}, nil, nil)
+	if err != nil {
+		panic(err) // a fixed, valid spec: only a bug gets here
+	}
+	return res
 }
 
 // E13Lemma17Coupling runs the fineness coupling: a fine configuration and
@@ -493,14 +499,10 @@ func E17GossipDrops(s Scale) Report {
 		Header: []string{"cap factor", "cap", "drop rate", "max in-degree", "rounds"},
 	}
 	for _, cf := range []float64{0.5, 1, 2, 4} {
-		nw := gossip.New(assign.EvenBlocks(n, 4), rules.Median{}, nil, 1700, gossip.Options{
-			CapFactor: cf,
-			MaxRounds: s.MaxRounds,
-		})
-		res := nw.Run()
-		st := nw.Stats()
+		res := runGossip(n, 1700, s.MaxRounds, cf)
+		st := res.Messages
 		rate := float64(st.RequestsDropped) / math.Max(float64(st.RequestsSent), 1)
-		tab.AddRow(fmt.Sprintf("%.1f", cf), fmt.Sprintf("%d", nw.Cap()),
+		tab.AddRow(fmt.Sprintf("%.1f", cf), fmt.Sprintf("%d", gossip.Capacity(n, cf)),
 			fmt.Sprintf("%.4f%%", rate*100), fmt.Sprintf("%d", st.MaxInDegree),
 			fmt.Sprintf("%d", res.Rounds))
 	}
