@@ -177,6 +177,7 @@ func New(cfg assign.Config, rule model.Rule, adv model.Adversary, seed uint64, o
 		opts:    opts,
 		g:       g,
 		allowed: allowedOf(cfg),
+		cap:     Capacity(n, opts.CapFactor),
 		reqFrom: make([][]int32, n),
 	}
 	for i := range nw.perms {
@@ -187,7 +188,6 @@ func New(cfg assign.Config, rule model.Rule, adv model.Adversary, seed uint64, o
 		}
 		nw.perms[i] = row
 	}
-	nw.cap = Capacity(n, opts.CapFactor)
 	return nw
 }
 
