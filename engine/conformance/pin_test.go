@@ -36,14 +36,15 @@ type pinned struct {
 	stableSince  int
 	materialized int64
 	winnerPoint  string    // multidim winning tuple
+	messages     string    // gossip message telemetry
 	exactBits    [3]uint64 // expected_rounds, win_probability, absorbed_by_end
 }
 
 // TestEngineChoicePinned pins, at a fixed seed, the result and the
 // materialized size of specs on both sides of every engine auto-selection
-// boundary of the median and multidim kinds, plus explicit engine choices
-// and the exact kind's analytic output. A refactor of engine dispatch that
-// moves any spec to another engine — or perturbs one bit of a result —
+// boundary of the median and multidim kinds, plus explicit engine choices,
+// the gossip kind's wiring and the exact kind's analytic output. A
+// refactor of engine dispatch that moves any spec to another engine — or perturbs one bit of a result —
 // fails here.
 func TestEngineChoicePinned(t *testing.T) {
 	cases := []struct {
@@ -71,6 +72,9 @@ func TestEngineChoicePinned(t *testing.T) {
 		{name: "multidim/adversary/count-compatible", spec: `{"kind":"multidim","init":{"kind":"random","n":1601,"d":2,"m":10,"seed":3},"adversary":{"name":"noise","params":{"t":2}},"seed":18,"max_rounds":60}`, want: pinned{rounds: 60, reason: "consensus", winnerCount: 1601, materialized: 100, winnerPoint: "[5 5]"}},
 		{name: "multidim/adversary/count-incompatible", spec: `{"kind":"multidim","init":{"kind":"random","n":1601,"d":2,"m":10,"seed":3},"adversary":{"name":"pin-process-only"},"seed":18,"max_rounds":60}`, want: pinned{rounds: 60, reason: "consensus", winnerCount: 1601, materialized: 1601, winnerPoint: "[5 5]"}},
 		{name: "multidim/explicit/count/count-incompatible", spec: `{"kind":"multidim","init":{"kind":"random","n":1601,"d":2,"m":10,"seed":3},"adversary":{"name":"pin-process-only"},"engine":"count"}`, err: "no count-level implementation"},
+		// Gossip kind: the private numberings are drawn once at
+		// construction, so this row pins the wiring's RNG sequence too.
+		{name: "gossip/twovalue/n=500", spec: `{"kind":"gossip","init":{"kind":"twovalue","n":500,"n_low":200},"cap_factor":0.3,"seed":19}`, want: pinned{rounds: 9, reason: "consensus", winner: 2, winnerCount: 500, materialized: 500, messages: "{RequestsSent:9000 RequestsDropped:954 MaxInDegree:9}"}},
 		// Exact kind: the analytic floats, bit for bit.
 		{name: "exact/n=60/point", spec: `{"kind":"exact","n":60,"start":20}`, want: pinned{rounds: 44, reason: "analytic", winner: 2, winnerCount: 60, materialized: 60, exactBits: [3]uint64{0x401307ebfe093ef6, 0x3f380f8a6fa20ecf, 0x3fefffffff85bfd3}}},
 		{name: "exact/n=60/uniform", spec: `{"kind":"exact","n":60,"init":"uniform"}`, want: pinned{rounds: 53, reason: "analytic", winner: 1, winnerCount: 60, materialized: 60, exactBits: [3]uint64{0x4010c86f93f59b7c, 0x3fe0000000000003, 0x3fefffffff8d31a0}}},
@@ -101,6 +105,9 @@ func TestEngineChoicePinned(t *testing.T) {
 			}
 			if res.WinnerPoint != nil {
 				got.winnerPoint = fmt.Sprint(res.WinnerPoint)
+			}
+			if res.Messages != nil {
+				got.messages = fmt.Sprintf("%+v", *res.Messages)
 			}
 			if x := res.Exact; x != nil {
 				got.exactBits = [3]uint64{
