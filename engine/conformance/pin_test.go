@@ -44,8 +44,8 @@ type pinned struct {
 // materialized size of specs on both sides of every engine auto-selection
 // boundary of the median and multidim kinds, plus explicit engine choices,
 // the gossip kind's wiring and the exact kind's analytic output. A
-// refactor of engine dispatch that moves any spec to another engine — or perturbs one bit of a result —
-// fails here.
+// refactor of engine dispatch that moves any spec to another engine — or
+// perturbs one bit of a result — fails here.
 func TestEngineChoicePinned(t *testing.T) {
 	cases := []struct {
 		name string

@@ -180,11 +180,16 @@ func New(cfg assign.Config, rule model.Rule, adv model.Adversary, seed uint64, o
 		cap:     Capacity(n, opts.CapFactor),
 		reqFrom: make([][]int32, n),
 	}
+	// One n·n backing array holds every numbering. Each row is filled by
+	// the inside-out Fisher–Yates of rng.Perm, run directly on the row, so
+	// the Intn sequence (and thus the wiring) is exactly Perm's.
+	wiring := make([]int32, n*n)
 	for i := range nw.perms {
-		p := g.Perm(n)
-		row := make([]int32, n)
-		for k, v := range p {
-			row[k] = int32(v)
+		row := wiring[i*n : (i+1)*n : (i+1)*n]
+		for k := 1; k < n; k++ {
+			j := g.Intn(k + 1)
+			row[k] = row[j]
+			row[j] = int32(k)
 		}
 		nw.perms[i] = row
 	}
