@@ -85,7 +85,7 @@ func BenchmarkFig1_TwoBinsNoAdversary(b *testing.B) {
 					Values: consensus.TwoValue(n, n/2, 1, 2),
 					Rule:   rules.Median{},
 					Seed:   seed,
-					Engine: consensus.EngineTwoBin,
+					Engine: consensus.EngineCount,
 				}
 			})
 		})
@@ -103,7 +103,7 @@ func BenchmarkFig1_TwoBinsWithAdversary(b *testing.B) {
 					Adversary:   adversary.NewBalancer(adversary.Sqrt(0.5), 1, 2),
 					AlmostSlack: 3 * int(math.Sqrt(float64(n))),
 					Seed:        seed,
-					Engine:      consensus.EngineTwoBin,
+					Engine:      consensus.EngineCount,
 				}
 			})
 		})
@@ -205,7 +205,7 @@ func BenchmarkLowerBound_Balancer(b *testing.B) {
 			AlmostSlack: 3 * int(math.Sqrt(float64(n))),
 			MaxRounds:   maxRounds,
 			Seed:        seed,
-			Engine:      consensus.EngineTwoBin,
+			Engine:      consensus.EngineCount,
 		}
 	})
 }
@@ -286,15 +286,36 @@ func BenchmarkGravity(b *testing.B) {
 
 // --- E9: Lemma 15 — Pr[Δ_{t+1} ≥ (4/3)Δ_t] ≥ 1 − exp(−Θ(Δ²/n)) ------------
 
+// twoBin returns a count engine over the Section 3 two-bin state — l
+// balls at 1, n−l at 2 — whose median transition round is the exact
+// update L' ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²).
+func twoBin(n, l int64, seed uint64) *core.CountEngine {
+	d := assign.Dist{Vals: []core.Value{1, 2}, Counts: []int64{l, n - l}}
+	return core.NewCountEngineDist(d, rules.Median{}, nil, seed, core.Options{})
+}
+
+// twoBinCounts returns the loads of values 1 and 2 (0 for an empty bin).
+func twoBinCounts(e *core.CountEngine) (l, r int64) {
+	vals, counts := e.Dist()
+	for i, v := range vals {
+		if v == 1 {
+			l = counts[i]
+		} else {
+			r = counts[i]
+		}
+	}
+	return l, r
+}
+
 func BenchmarkLemma15Drift(b *testing.B) {
 	const n = 1_000_000
 	delta := int64(4 * math.Sqrt(n))
 	g := rng.NewXoshiro256(99)
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		e := core.NewTwoBinEngine(n, n/2-delta, 1, 2, nil, g.Uint64(), core.Options{})
+		e := twoBin(n, n/2-delta, g.Uint64())
 		e.Step()
-		l, r := e.Counts()
+		l, r := twoBinCounts(e)
 		if (r-l)/2 >= delta*4/3 {
 			hits++
 		}
@@ -310,9 +331,9 @@ func BenchmarkLemma14CLT(b *testing.B) {
 	g := rng.NewXoshiro256(77)
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		e := core.NewTwoBinEngine(n, n/2, 1, 2, nil, g.Uint64(), core.Options{})
+		e := twoBin(n, n/2, g.Uint64())
 		e.Step()
-		l, r := e.Counts()
+		l, r := twoBinCounts(e)
 		psi := float64(r-l) / 2
 		if psi >= c*math.Sqrt(n) {
 			hits++
@@ -411,8 +432,7 @@ func BenchmarkLemma11LogLog(b *testing.B) {
 			g := rng.NewXoshiro256(5511)
 			var rounds int64
 			for i := 0; i < b.N; i++ {
-				e := core.NewTwoBinEngine(n, n/4, 1, 2, nil, g.Uint64(), core.Options{})
-				res := e.Run()
+				res := twoBin(n, n/4, g.Uint64()).Run()
 				rounds += int64(res.Rounds)
 			}
 			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
@@ -461,26 +481,29 @@ func BenchmarkAblation_InPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Engines measures per-round throughput of the three
-// count-compatible engines on the same workload.
+// samplingOnly hides a rule's Transition method, so the count engine
+// falls back to its per-ball alias loop.
+type samplingOnly struct{ consensus.Rule }
+
+// BenchmarkAblation_Engines measures whole-run throughput of the ball
+// engine and of the count engine's two round modes — the exact transition
+// step and the per-ball alias loop — on the same workload.
 func BenchmarkAblation_Engines(b *testing.B) {
 	const n = 100_000
 	for _, tc := range []struct {
 		name   string
 		engine consensus.Engine
-		values []consensus.Value
+		rule   consensus.Rule
 	}{
-		{"ball", consensus.EngineBall, consensus.TwoValue(n, n/3, 1, 2)},
-		{"count", consensus.EngineCount, consensus.TwoValue(n, n/3, 1, 2)},
-		{"twobin", consensus.EngineTwoBin, consensus.TwoValue(n, n/3, 1, 2)},
+		{"ball", consensus.EngineBall, rules.Median{}},
+		{"count", consensus.EngineCount, rules.Median{}},
+		{"count-sampled", consensus.EngineCount, samplingOnly{rules.Median{}}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			runSeries(b, func(seed uint64) consensus.Config {
-				vals := make([]consensus.Value, len(tc.values))
-				copy(vals, tc.values)
 				return consensus.Config{
-					Values: vals,
-					Rule:   rules.Median{},
+					Values: consensus.TwoValue(n, n/3, 1, 2),
+					Rule:   tc.rule,
 					Seed:   seed,
 					Engine: tc.engine,
 				}
@@ -697,13 +720,13 @@ func BenchmarkCountInit(b *testing.B) {
 // count engines under a noise adversary (so the chain never absorbs and
 // every iteration does a full round's work). The headline is the
 // allocs/op column: zero, whatever n — the round loops reuse engine-owned
-// scratch (TestCountEngineStepAllocs and TestCountEngineRoundAllocs pin
-// this as a regression). The scalar engine samples per ball — Θ(n) work
-// per round, so it stops at 10⁷ — while the multidim engine's
-// block-multinomial mode is O(k³) independent of n and runs the
-// acceptance scale 10⁹ directly.
+// scratch (TestCountEngineRoundAllocs pins this as a regression). Both
+// engines' rounds are independent of n: the scalar engine's transition
+// step makes O(k²) binomial draws over its k live values, the multidim
+// engine's block-multinomial mode O(k³), so both run the acceptance scale
+// 10⁹ directly.
 func BenchmarkCountRound(b *testing.B) {
-	for _, n := range []int{100_000, 10_000_000} {
+	for _, n := range []int{100_000, 10_000_000, 1_000_000_000} {
 		b.Run(fmt.Sprintf("scalar/n=%.0e", float64(n)), func(b *testing.B) {
 			d := assign.Dist{Vals: []core.Value{1, 2, 3, 4, 5}, Counts: []int64{int64(n) / 5, int64(n) / 5, int64(n) / 5, int64(n) / 5, int64(n) - 4*(int64(n)/5)}}
 			eng := core.NewCountEngineDist(d, rules.Median{}, adversary.NewRandomNoise(adversary.Fixed(2)), 1, core.Options{})

@@ -182,7 +182,7 @@ func addSpecFlags(fs *flag.FlagSet) *specFlags {
 		slack:     fs.Int("slack", 0, "almost-stable slack (0 = off)"),
 		window:    fs.Int("window", 0, "stability window (0 = default)"),
 		timing:    fs.String("timing", "", "adversary timing: before-round, after-choices (kind median)"),
-		engine:    fs.String("engine", "", "simulation engine: auto, ball, count, twobin (kind median); auto, process, count (kind multidim)"),
+		engine:    fs.String("engine", "", "simulation engine: auto, ball, count (kind median); auto, process, count (kind multidim)"),
 	}
 }
 

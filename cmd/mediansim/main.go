@@ -6,7 +6,7 @@
 //	mediansim -n 100000                       # median rule, worst case
 //	mediansim -n 10000 -m 16 -init uniform    # average case, 16 values
 //	mediansim -n 10000 -rule minimum -adversary reviver
-//	mediansim -n 1000000 -init twovalue -engine twobin -adversary balancer -budget sqrt
+//	mediansim -n 1000000 -init twovalue -engine count -adversary balancer -budget sqrt
 //
 // The message-passing network model is not a mediansim engine; it is the
 // simulation service's gossip kind:

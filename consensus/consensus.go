@@ -23,16 +23,19 @@
 //
 // # Engines
 //
-// Three interchangeable engines execute the same protocol contract:
+// Two interchangeable engines execute the same protocol contract:
 //
 //   - EngineBall: exact per-process simulation (supports every adversary
 //     hook, observers, parallel execution).
-//   - EngineCount: distribution-level simulation, O(m) memory.
-//   - EngineTwoBin: exact binomial-update simulation for two-value states,
-//     O(1) memory per round — usable with n up to 2^62.
+//   - EngineCount: distribution-level simulation, O(k) memory for k live
+//     values. Median-like rules (every rule in package rules but Mean)
+//     run each round as k exact multinomial draws, O(k²) and independent
+//     of n — on two values, the paper's Section 3 binomial update, usable
+//     with n up to 2^62. Other rules sample per process.
 //
 // EngineAuto picks the fastest engine that supports the requested
-// configuration. The full message-passing simulation of the paper's
+// configuration, and picks the same one whether or not the run is
+// observed. The full message-passing simulation of the paper's
 // network model (private peer numberings, per-round request caps,
 // adversarially selected drops) is the "gossip" spec kind, run through
 // engine.Execute.
@@ -76,15 +79,13 @@ const (
 type Engine int
 
 const (
-	// EngineAuto picks TwoBin for two-value states when possible, Count
-	// for large populations, and Ball otherwise.
+	// EngineAuto picks Count when its O(k²) transition round fits the
+	// initial support or the population is large, and Ball otherwise.
 	EngineAuto Engine = iota
 	// EngineBall is the exact per-process engine.
 	EngineBall
 	// EngineCount is the distribution-level engine.
 	EngineCount
-	// EngineTwoBin is the exact binomial two-value engine.
-	EngineTwoBin
 )
 
 // Timing selects when the adversary acts (see the paper's two models).
@@ -168,12 +169,12 @@ func Run(cfg Config) Result {
 type Dist = assign.Dist
 
 // RunDist executes the configured simulation over a distribution-level
-// initial state: cfg.Values is ignored and the count-capable engines
-// (EngineCount, EngineTwoBin) run directly on the distribution in O(m)
-// memory. EngineAuto picks among the engines exactly as Run does — when it
-// (or an explicit cfg.Engine) lands on EngineBall, the distribution is
-// expanded to the O(n) vector, so the contract stays total; callers
-// chasing the n ~ 10⁹ regime should pin EngineCount or EngineTwoBin.
+// initial state: cfg.Values is ignored and EngineCount runs directly on
+// the distribution in O(k) memory. EngineAuto picks among the engines
+// exactly as Run does — when it (or an explicit cfg.Engine) lands on
+// EngineBall, the distribution is expanded to the O(n) vector, so the
+// contract stays total; callers chasing the n ~ 10⁹ regime should pin
+// EngineCount.
 func RunDist(cfg Config, d Dist) Result {
 	if len(d.Vals) == 0 {
 		panic("consensus: RunDist with an empty distribution")
@@ -205,8 +206,6 @@ func run(cfg Config, values assign.Config, d assign.Dist) Result {
 		return fromCore(core.NewBallEngine(values, cfg.Rule, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
 	case EngineCount:
 		return fromCore(core.NewCountEngineDist(d, cfg.Rule, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
-	case EngineTwoBin:
-		return runTwoBin(cfg, d)
 	default:
 		panic("consensus: unknown engine")
 	}
@@ -223,35 +222,18 @@ func coreOpts(cfg Config) core.Options {
 	}
 }
 
-func runTwoBin(cfg Config, d assign.Dist) Result {
-	if d.Support() > 2 {
-		panic("consensus: EngineTwoBin needs at most two distinct values")
-	}
-	low, high, l := twoBinShape(d)
-	return fromCore(core.NewTwoBinEngine(d.N(), l, low, high, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
-}
-
 // pick chooses an engine for EngineAuto from the population size and the
-// distinct-value support — distribution-level inputs, so spec-driven runs
-// can resolve the engine without materializing anything.
+// distinct-value support bound — distribution-level inputs, so spec-driven
+// runs can resolve the engine without materializing anything. Count needs
+// a count-level or absent adversary; it wins when its exact transition
+// round fits the support (core.TransitionFits, the test the engine itself
+// applies every round) or when n is large enough that the per-process
+// vector is the cost to avoid.
 func pick(n int64, support int, cfg Config) Engine {
-	// TwoBin requires median/majority semantics (it hard-codes the
-	// two-value median update) and a count-level or absent adversary.
-	if support <= 2 && cfg.Rule.Samples() == 2 && isMedianLike(cfg.Rule) && countCompatible(cfg.Adversary) && cfg.Observer == nil {
-		return EngineTwoBin
-	}
-	if n >= 1<<16 && countCompatible(cfg.Adversary) {
+	if countCompatible(cfg.Adversary) && (core.TransitionFits(cfg.Rule, n, support) || n >= 1<<16) {
 		return EngineCount
 	}
 	return EngineBall
-}
-
-func isMedianLike(r Rule) bool {
-	switch r.Name() {
-	case "median", "majority", "median-2choices":
-		return true
-	}
-	return false
 }
 
 func countCompatible(a Adversary) bool {
@@ -260,16 +242,6 @@ func countCompatible(a Adversary) bool {
 	}
 	_, ok := a.(model.CountAdversary)
 	return ok
-}
-
-func twoBinShape(d assign.Dist) (low, high Value, l int64) {
-	switch d.Support() {
-	case 1:
-		// Degenerate: model as the value plus a phantom empty higher bin.
-		return d.Vals[0], d.Vals[0] + 1, d.Counts[0]
-	default:
-		return d.Vals[0], d.Vals[1], d.Counts[0]
-	}
 }
 
 func fromCore(r core.Result) Result {

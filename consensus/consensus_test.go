@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestRunEachEngineConverges(t *testing.T) {
 		Values: TwoValue(300, 150, 1, 2),
 		Rule:   rules.Median{},
 		Seed:   7,
-		Engine: EngineTwoBin,
+		Engine: EngineCount,
 	})
 	if res.Reason != StopConsensus {
 		t.Fatalf("two-bin: %+v", res)
@@ -57,17 +58,25 @@ func pickVals(vals []Value, cfg Config) Engine {
 	return pick(d.N(), d.Support(), cfg)
 }
 
+// TestRunAutoPicksTwoBin: a small two-value state runs on the count
+// engine, whose exact transition round is the Section 3 two-bin update,
+// whenever the rule states its next-value law — observed or not.
 func TestRunAutoPicksTwoBin(t *testing.T) {
-	if e := pickVals(TwoValue(100, 40, 1, 2), Config{Rule: rules.Median{}}); e != EngineTwoBin {
-		t.Fatalf("picked %d, want TwoBin", e)
+	for _, rule := range []Rule{rules.Median{}, rules.Majority{}, rules.NewKMedian(2), rules.Voter{}} {
+		if e := pickVals(TwoValue(100, 40, 1, 2), Config{Rule: rule}); e != EngineCount {
+			t.Fatalf("%s: picked %v, want count", rule.Name(), e)
+		}
 	}
-	// Mean rule is not median-like: must not use the two-bin engine.
-	if e := pickVals(TwoValue(100, 40, 1, 2), Config{Rule: rules.Mean{}}); e == EngineTwoBin {
-		t.Fatal("two-bin picked for the mean rule")
+	if e := pickVals(TwoValue(100, 40, 1, 2), Config{Rule: rules.Median{}, Observer: func(int, []Value, []int64) {}}); e != EngineCount {
+		t.Fatalf("observed: picked %v, want count (observation must not change the pick)", e)
 	}
-	// An observer forces a general engine.
-	if e := pickVals(TwoValue(100, 40, 1, 2), Config{Rule: rules.Median{}, Observer: func(int, []Value, []int64) {}}); e == EngineTwoBin {
-		t.Fatal("two-bin picked despite observer")
+	// The mean rule has no transition law: small populations stay per-ball.
+	if e := pickVals(TwoValue(100, 40, 1, 2), Config{Rule: rules.Mean{}}); e != EngineBall {
+		t.Fatalf("mean: picked %v, want ball", e)
+	}
+	// The O(k²) round must fit: 100 distinct values exceed k·k ≤ n·2.
+	if e := pickVals(AllDistinct(100), Config{Rule: rules.Median{}}); e != EngineBall {
+		t.Fatalf("distinct: picked %v, want ball", e)
 	}
 	// Ball-only adversary forces the ball engine.
 	probe := adversary.NewFunc("x", adversary.Fixed(1), func(int, []Value, []Value, Rand) {})
@@ -83,18 +92,52 @@ func TestRunAutoLargePopulationUsesCount(t *testing.T) {
 	}
 }
 
-func TestRunTwoBinRejectsManyValues(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Run(Config{Values: EvenBlocks(100, 3), Rule: rules.Median{}, Engine: EngineTwoBin})
+// TestSpecTwoBinEngineHint: the retired "twobin" engine name fails
+// validation and points at the count engine that subsumes it.
+func TestSpecTwoBinEngineHint(t *testing.T) {
+	s := &Spec{Init: InitSpec{Kind: "twovalue", N: 100}, Rule: rules.Ref{Name: "median"}, Engine: "twobin"}
+	s.Normalize()
+	err := s.Validate()
+	if err == nil || !strings.Contains(err.Error(), `engine "count"`) {
+		t.Fatalf("Validate() = %v, want a hint to use engine \"count\"", err)
+	}
 }
 
 func TestRunTwoBinDegenerateSingleValue(t *testing.T) {
-	res := Run(Config{Values: []Value{7, 7, 7}, Rule: rules.Median{}, Engine: EngineTwoBin, Seed: 2})
+	res := Run(Config{Values: []Value{7, 7, 7}, Rule: rules.Median{}, Engine: EngineCount, Seed: 2})
 	if res.Reason != StopConsensus || res.Winner != 7 {
+		t.Fatalf("%+v", res)
+	}
+}
+
+// allowedRecorder is a count-level random-noise adversary that records
+// every allowed value set the engine hands it.
+type allowedRecorder struct {
+	*adversary.RandomNoise
+	seen [][]Value
+}
+
+func (a *allowedRecorder) CorruptCounts(round int, vals []Value, counts []int64, allowed []Value, r Rand) ([]Value, []int64) {
+	a.seen = append(a.seen, slices.Clone(allowed))
+	return a.RandomNoise.CorruptCounts(round, vals, counts, allowed, r)
+}
+
+// TestRunSingleValueAdversaryWritesOnlyInitialValues: the adversary may
+// write only initial values (Section 1.1), so on a single-value start the
+// allowed set it is handed is that one value — no engine may invent a
+// neighbouring value to fill a second bin.
+func TestRunSingleValueAdversaryWritesOnlyInitialValues(t *testing.T) {
+	rec := &allowedRecorder{RandomNoise: adversary.NewRandomNoise(adversary.Fixed(2))}
+	res := Run(Config{Values: []Value{7, 7, 7, 7, 7, 7, 7, 7}, Rule: rules.Median{}, Adversary: rec, Seed: 3, MaxRounds: 50})
+	if len(rec.seen) == 0 {
+		t.Fatal("adversary never called; test vacuous")
+	}
+	for i, allowed := range rec.seen {
+		if !slices.Equal(allowed, []Value{7}) {
+			t.Fatalf("call %d: adversary handed allowed values %v, want the initial set [7]", i, allowed)
+		}
+	}
+	if res.Winner != 7 || res.WinnerCount != 8 {
 		t.Fatalf("%+v", res)
 	}
 }
@@ -209,7 +252,7 @@ func TestLogNScalingSmoke(t *testing.T) {
 				Values: TwoValue(n, n/2, 1, 2),
 				Rule:   rules.Median{},
 				Seed:   s,
-				Engine: EngineTwoBin,
+				Engine: EngineCount,
 			})
 			total += float64(res.Rounds)
 		}

@@ -16,10 +16,9 @@ import (
 // engineNames maps serialized engine names to Engine values. "" is accepted
 // as EngineAuto so omitted spec fields behave like zero-valued Config fields.
 var engineNames = map[string]Engine{
-	"auto":   EngineAuto,
-	"ball":   EngineBall,
-	"count":  EngineCount,
-	"twobin": EngineTwoBin,
+	"auto":  EngineAuto,
+	"ball":  EngineBall,
+	"count": EngineCount,
 }
 
 // EngineByName resolves a serialized engine name ("" means "auto").

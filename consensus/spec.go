@@ -32,9 +32,10 @@ type Spec struct {
 	// Timing is the adversary hook point: "before-round" (default) or
 	// "after-choices".
 	Timing string `json:"timing,omitempty"`
-	// Engine selects the simulator by name: auto (the default), ball,
-	// count or twobin. The message-passing simulator is no longer an
-	// engine of this kind — it is the "gossip" spec kind.
+	// Engine selects the simulator by name: auto (the default), ball or
+	// count. The message-passing simulator is no longer an engine of this
+	// kind — it is the "gossip" spec kind — and the two-value engine
+	// "twobin" is the count engine's exact transition round.
 	Engine string `json:"engine,omitempty"`
 	// Workers parallelises the ball engine (0/1 = sequential).
 	Workers int `json:"workers,omitempty"`
@@ -76,11 +77,9 @@ func (s *Spec) Population() int64 { return initspec.Size(s.Init) }
 
 // plan is the kind's one engine decision. It builds the run's Config
 // with its observer wired to ctx and resolves the engine into cfg.Engine,
-// returning the config and the population n. The observer is always
-// installed: pick treats an observed run differently, and the spec path
-// always observes (the RunContext observer is never nil), so every run
-// of one spec — and its admission charge — resolves to the same engine,
-// whoever is watching.
+// returning the config and the population n. pick never looks at the
+// observer, so every run of one spec — and its admission charge —
+// resolves to the same engine, whoever is watching.
 //
 // The engine resolves at spec level, from the population and support
 // bound of the init registry, with no O(n) pre-pass. An init kind that
@@ -108,10 +107,10 @@ func (s *Spec) plan(ctx engine.RunContext) (Config, int64, error) {
 	return cfg, n, nil
 }
 
-// Run implements engine.Payload. Runs landing on the count-capable
-// engines (count, twobin) build their start state with BuildInitDist and
-// execute through RunDist, so a huge-n count run never materializes the
-// O(n) value vector; only the per-process engine builds it with BuildInit.
+// Run implements engine.Payload. Runs landing on the count engine build
+// their start state with BuildInitDist and execute through RunDist, so a
+// huge-n count run never materializes the O(n) value vector; only the
+// per-process engine builds it with BuildInit.
 func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
 	cfg, _, err := s.plan(ctx)
 	if err != nil {
@@ -119,7 +118,7 @@ func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
 	}
 	var out Result
 	switch cfg.Engine {
-	case EngineCount, EngineTwoBin:
+	case EngineCount:
 		d, err := initspec.BuildDist(s.Init)
 		if err != nil {
 			return engine.Result{}, err
@@ -143,15 +142,14 @@ func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
 
 // MaterializedSize implements engine.Materializer: the number of
 // per-process states the run will actually allocate. Runs landing on the
-// count-capable engines hold the distribution, O(support), never the
-// O(n) vector — which is what admission control should charge for.
+// count engine hold the distribution, O(support), never the O(n) vector
+// — which is what admission control should charge for.
 func (s *Spec) MaterializedSize() int64 {
 	cfg, n, err := s.plan(engine.RunContext{})
 	if err != nil {
 		return n
 	}
-	switch cfg.Engine {
-	case EngineCount, EngineTwoBin:
+	if cfg.Engine == EngineCount {
 		if k := initspec.Support(s.Init); k > 0 && k < n {
 			return k
 		}
@@ -162,8 +160,11 @@ func (s *Spec) MaterializedSize() int64 {
 // components resolves every registry reference except the initial state
 // (Run fills Values; Validate deliberately leaves them empty).
 func (s *Spec) components(maxRounds int) (Config, error) {
-	if s.Engine == "gossip" {
+	switch s.Engine {
+	case "gossip":
 		return Config{}, fmt.Errorf("consensus: the message-passing simulator is the %q spec kind now; submit {\"kind\":\"gossip\",...} instead of engine \"gossip\"", "gossip")
+	case "twobin":
+		return Config{}, fmt.Errorf("consensus: the two-value engine is the count engine's exact transition round now; submit engine %q (or \"auto\") instead of engine \"twobin\"", "count")
 	}
 	rule, err := s.Rule.New()
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestAfterChoicesTimingTwoBin exercises the Section 3 / Theorem 10
-// adversary timing through the public API: the balancer rewrites outcomes
-// *after* the random choices. The run must still reach almost stability
+// adversary timing through the public API on the two-bin count engine: the
+// balancer rewrites outcomes *after* the random choices. The run must still reach almost stability
 // with the theorem's (constant-adjusted) budget.
 func TestAfterChoicesTimingTwoBin(t *testing.T) {
 	const n = 4096
@@ -23,7 +23,7 @@ func TestAfterChoicesTimingTwoBin(t *testing.T) {
 		AlmostSlack: 3 * int(math.Sqrt(n)),
 		MaxRounds:   20000,
 		Seed:        11,
-		Engine:      consensus.EngineTwoBin,
+		Engine:      consensus.EngineCount,
 	})
 	if res.Reason != consensus.StopAlmostStable {
 		t.Fatalf("AfterChoices run ended with %v after %d rounds", res.Reason, res.Rounds)

@@ -53,17 +53,27 @@ func TestEngineChoicePinned(t *testing.T) {
 		want pinned
 		err  string // substring of the expected Validate error
 	}{
-		// Median kind, auto: count from n = 2^16 on, ball below.
-		{name: "median/twovalue/n=2^16-1", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":65535},"seed":11}`, want: pinned{rounds: 18, reason: "consensus", winner: 2, winnerCount: 65535, stableSince: 18, materialized: 65535}},
-		{name: "median/twovalue/n=2^16", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":65536},"seed":11}`, want: pinned{rounds: 19, reason: "consensus", winner: 1, winnerCount: 65536, stableSince: 19, materialized: 2}},
-		{name: "median/uniform/m=3/small", spec: `{"rule":{"name":"median"},"init":{"kind":"uniform","n":3000,"m":3,"seed":5},"seed":12}`, want: pinned{rounds: 6, reason: "consensus", winner: 2, winnerCount: 3000, stableSince: 6, materialized: 3000}},
-		{name: "median/uniform/m=3/large", spec: `{"rule":{"name":"median"},"init":{"kind":"uniform","n":70000,"m":3,"seed":5},"seed":12}`, want: pinned{rounds: 7, reason: "consensus", winner: 2, winnerCount: 70000, stableSince: 7, materialized: 3}},
-		{name: "median/adversary/count-compatible", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":65536},"adversary":{"name":"random-noise","budget":{"kind":"fixed","factor":2}},"almost_slack":20,"seed":13,"max_rounds":200}`, want: pinned{rounds: 25, reason: "almost-stable", winner: 2, winnerCount: 65536, stableSince: 18, materialized: 2}},
+		// Median kind, auto: count once its transition round fits the
+		// init's support bound k (k·k ≤ n·samples) or from n = 2^16 on,
+		// ball otherwise.
+		{name: "median/twovalue/n=2^16-1", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":65535},"seed":11}`, want: pinned{rounds: 16, reason: "consensus", winner: 1, winnerCount: 65535, stableSince: 16, materialized: 2}},
+		{name: "median/twovalue/n=2^16", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":65536},"seed":11}`, want: pinned{rounds: 16, reason: "consensus", winner: 1, winnerCount: 65536, stableSince: 16, materialized: 2}},
+		{name: "median/uniform/m=3/small", spec: `{"rule":{"name":"median"},"init":{"kind":"uniform","n":3000,"m":3,"seed":5},"seed":12}`, want: pinned{rounds: 6, reason: "consensus", winner: 2, winnerCount: 3000, stableSince: 6, materialized: 3}},
+		{name: "median/uniform/m=3/large", spec: `{"rule":{"name":"median"},"init":{"kind":"uniform","n":70000,"m":3,"seed":5},"seed":12}`, want: pinned{rounds: 6, reason: "consensus", winner: 2, winnerCount: 70000, stableSince: 6, materialized: 3}},
+		{name: "median/distinct/k*k>2n", spec: `{"rule":{"name":"median"},"init":{"kind":"distinct","n":3000},"seed":12}`, want: pinned{rounds: 25, reason: "consensus", winner: 1513, winnerCount: 3000, stableSince: 25, materialized: 3000}},
+		// A distinct start from n = 2^16 runs on count: per-ball rounds
+		// until the support collapses into the transition round's reach.
+		{name: "median/distinct/n=2^16", spec: `{"rule":{"name":"median"},"init":{"kind":"distinct","n":65536},"seed":12}`, want: pinned{rounds: 33, reason: "consensus", winner: 32889, winnerCount: 65536, stableSince: 33, materialized: 65536}},
+		{name: "median/mean/no-transition", spec: `{"rule":{"name":"mean"},"init":{"kind":"twovalue","n":3000},"seed":12}`, want: pinned{rounds: 16, reason: "consensus", winner: 2, winnerCount: 3000, stableSince: 16, materialized: 3000}},
+		{name: "median/adversary/count-compatible", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":65536},"adversary":{"name":"random-noise","budget":{"kind":"fixed","factor":2}},"almost_slack":20,"seed":13,"max_rounds":200}`, want: pinned{rounds: 24, reason: "almost-stable", winner: 2, winnerCount: 65536, stableSince: 17, materialized: 2}},
 		{name: "median/adversary/ball-only", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":65536},"adversary":{"name":"flipper","budget":{"kind":"fixed","factor":2}},"almost_slack":20,"seed":13,"max_rounds":40}`, want: pinned{rounds: 29, reason: "almost-stable", winner: 1, winnerCount: 65536, stableSince: 22, materialized: 65536}},
 		// Median kind, explicit engines.
-		{name: "median/explicit/twobin", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":1000000},"engine":"twobin","seed":14}`, want: pinned{rounds: 23, reason: "consensus", winner: 1, winnerCount: 1000000, stableSince: 23, materialized: 2}},
-		{name: "median/explicit/twobin/huge", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":1000000000000},"engine":"twobin","seed":14}`, want: pinned{rounds: 41, reason: "consensus", winner: 1, winnerCount: 1000000000000, stableSince: 41, materialized: 2}},
-		{name: "median/explicit/count", spec: `{"rule":{"name":"median"},"init":{"kind":"evenblocks","n":5000,"m":4},"engine":"count","seed":15}`, want: pinned{rounds: 20, reason: "consensus", winner: 3, winnerCount: 5000, stableSince: 20, materialized: 4}},
+		// The count rows on twovalue reproduce, draw for draw, what the
+		// retired "twobin" engine pinned for the same specs.
+		{name: "median/explicit/count/twovalue", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":1000000},"engine":"count","seed":14}`, want: pinned{rounds: 23, reason: "consensus", winner: 1, winnerCount: 1000000, stableSince: 23, materialized: 2}},
+		{name: "median/explicit/count/huge", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":1000000000000},"engine":"count","seed":14}`, want: pinned{rounds: 41, reason: "consensus", winner: 1, winnerCount: 1000000000000, stableSince: 41, materialized: 2}},
+		{name: "median/explicit/twobin", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":1000000},"engine":"twobin","seed":14}`, err: `engine "count"`},
+		{name: "median/explicit/count", spec: `{"rule":{"name":"median"},"init":{"kind":"evenblocks","n":5000,"m":4},"engine":"count","seed":15}`, want: pinned{rounds: 18, reason: "consensus", winner: 3, winnerCount: 5000, stableSince: 18, materialized: 4}},
 		{name: "median/explicit/ball", spec: `{"rule":{"name":"median"},"init":{"kind":"distinct","n":2000},"engine":"ball","seed":16}`, want: pinned{rounds: 26, reason: "consensus", winner: 964, winnerCount: 2000, stableSince: 26, materialized: 2000}},
 		{name: "median/explicit/gossip", spec: `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":64},"engine":"gossip"}`, err: `"gossip" spec kind`},
 		// Multidim kind, auto: count once support·16 ≤ n (support 10² here).

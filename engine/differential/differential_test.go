@@ -8,8 +8,30 @@ import (
 	"repro/consensus"
 	"repro/engine"
 	"repro/internal/exact"
+	"repro/multidim"
 	"repro/rules"
 )
+
+// sampledMedian is the median rule without its Transition method, so the
+// count engine runs it through the per-ball alias loop instead of the
+// exact transition round. It is registered under sampledMedianName for
+// this suite only.
+type sampledMedian struct{ consensus.Rule }
+
+const sampledMedianName = "differential-sampled-median"
+
+func init() {
+	rules.Register(sampledMedianName, func(rules.Params) (rules.Rule, error) {
+		return sampledMedian{rules.Median{}}, nil
+	})
+}
+
+// twoValueRuns are the count-engine configurations held to the exact
+// chain: the median rule's transition round and the per-ball alias loop.
+var twoValueRuns = []struct{ label, rule string }{
+	{"count", "median"},
+	{"count/sampled", sampledMedianName},
+}
 
 // The absorption-time fixture: n and the low-bin start count of the
 // twovalue init, which is exactly the exact chain's start state.
@@ -33,32 +55,35 @@ const (
 // re-rolls of the seed list, and never by re-running the same seeds.
 const sigmas = 5
 
-// simTrials runs `trials` fixed-seed runs of one count-level median-kind
-// engine over the twovalue init and returns each run's rounds-to-consensus
-// plus the number of runs the low value won.
-func simTrials(t *testing.T, engineName string, n, nLow, trials int) (rounds []int, lowWins int) {
+// simTrials runs `trials` fixed-seed runs of the count engine under the
+// named rule over the twovalue init and returns each run's
+// rounds-to-consensus plus the number of runs the low value won.
+func simTrials(t *testing.T, rule string, n, nLow, trials int) (rounds []int, lowWins int) {
 	t.Helper()
+	init := consensus.InitSpec{Kind: "twovalue", N: n, NLow: nLow}
 	rounds = make([]int, 0, trials)
 	for seed := 1; seed <= trials; seed++ {
-		spec := engine.Spec{
-			Kind: "median",
-			Seed: uint64(seed),
-			Payload: &consensus.Spec{
-				Init:   consensus.InitSpec{Kind: "twovalue", N: n, NLow: nLow},
-				Rule:   rules.Ref{Name: "median"},
-				Engine: engineName,
-			},
-		}
-		res, err := engine.Execute(spec, nil, nil)
-		if err != nil {
-			t.Fatalf("%s seed %d: %v", engineName, seed, err)
-		}
+		res := execute(t, "count", rules.Ref{Name: rule}, init, uint64(seed))
 		rounds = append(rounds, res.Rounds)
 		if res.Winner == exact.ValueLeft {
 			lowWins++
 		}
 	}
 	return rounds, lowWins
+}
+
+// execute runs one median-kind spec through engine.Execute.
+func execute(t *testing.T, engineName string, rule rules.Ref, init consensus.InitSpec, seed uint64) engine.Result {
+	t.Helper()
+	res, err := engine.Execute(engine.Spec{
+		Kind:    "median",
+		Seed:    seed,
+		Payload: &consensus.Spec{Init: init, Rule: rule, Engine: engineName},
+	}, nil, nil)
+	if err != nil {
+		t.Fatalf("%s/%s seed %d: %v", engineName, rule.Name, seed, err)
+	}
+	return res
 }
 
 // meanStd returns the sample mean and standard deviation.
@@ -75,14 +100,15 @@ func meanStd(xs []int) (mean, sd float64) {
 	return mean, sd
 }
 
-// TestDifferentialAbsorptionTime: each engine's mean rounds-to-consensus
+// TestDifferentialAbsorptionTime: each run mode's mean rounds-to-consensus
 // must sit inside a 5σ confidence band around the chain's exact expected
-// absorption time. A bias in the binomial update (twobin) or the sampling
-// loop (count) shifts the mean and trips the band.
+// absorption time. A bias in the transition round (count) or the sampling
+// loop (count/sampled) shifts the mean and trips the band.
 func TestDifferentialAbsorptionTime(t *testing.T) {
 	want := exact.NewChain(timeN).AbsorptionTimes()[timeStart]
-	for _, engineName := range []string{"twobin", "count"} {
-		rounds, _ := simTrials(t, engineName, timeN, timeStart, timeTrials)
+	for _, run := range twoValueRuns {
+		engineName := run.label
+		rounds, _ := simTrials(t, run.rule, timeN, timeStart, timeTrials)
 		mean, sd := meanStd(rounds)
 		band := sigmas*sd/math.Sqrt(float64(len(rounds))) + 0.05
 		t.Logf("%s: mean %0.4f ± %0.4f vs exact %0.4f over %d trials",
@@ -100,8 +126,9 @@ func TestDifferentialAbsorptionTime(t *testing.T) {
 // asymmetry in tie-breaking or sampling moves it.
 func TestDifferentialWinProbability(t *testing.T) {
 	want := exact.NewChain(winN).WinProbabilities()[winStart]
-	for _, engineName := range []string{"twobin", "count"} {
-		_, wins := simTrials(t, engineName, winN, winStart, winTrials)
+	for _, run := range twoValueRuns {
+		engineName := run.label
+		_, wins := simTrials(t, run.rule, winN, winStart, winTrials)
 		got := float64(wins) / winTrials
 		band := sigmas*math.Sqrt(want*(1-want)/winTrials) + 0.01
 		t.Logf("%s: win rate %0.4f ± %0.4f vs exact %0.4f over %d trials",
@@ -122,8 +149,9 @@ func TestDifferentialAbsorptionCDF(t *testing.T) {
 	c := exact.NewChain(timeN)
 	maxRounds := 200
 	cdf := c.AbsorptionCDF(timeStart, maxRounds)
-	for _, engineName := range []string{"twobin", "count"} {
-		rounds, _ := simTrials(t, engineName, timeN, timeStart, timeTrials)
+	for _, run := range twoValueRuns {
+		engineName := run.label
+		rounds, _ := simTrials(t, run.rule, timeN, timeStart, timeTrials)
 		sort.Ints(rounds)
 		for _, probe := range []int{4, 7, 10, 15, 25} {
 			want := cdf[probe]
@@ -156,5 +184,108 @@ func TestDifferentialExactKindSelfConsistent(t *testing.T) {
 	}
 	if got, want := res.Exact.WinProbability, c.WinProbabilities()[timeStart]; got != want {
 		t.Errorf("exact kind WinProbability %v != chain %v", got, want)
+	}
+}
+
+// The transition-vs-ball fixture: k > 2 values have no tractable exact
+// chain, so the per-ball engine — a direct execution of the paper's
+// update — is the ground truth the count engine's transition round must
+// match in distribution.
+const (
+	kTrials = 400
+	kN      = 300
+)
+
+// meanBand reports whether two samples' means agree within the 5σ band
+// of their difference (plus a small slack for discrete rounds).
+func meanBand(a, b []int) (diff, band float64) {
+	ma, sa := meanStd(a)
+	mb, sb := meanStd(b)
+	band = sigmas*math.Sqrt(sa*sa/float64(len(a))+sb*sb/float64(len(b))) + 0.05
+	return ma - mb, band
+}
+
+// TestDifferentialTransitionVsBall: on k > 2 values, the count engine's
+// transition round (k·k ≤ n·samples from the first round here) and the
+// ball engine must agree on mean rounds-to-consensus and on the winner
+// distribution, each within a 5σ band, for every rule family the round
+// serves: the median, majority and a 2k-choice median (binomial tails).
+func TestDifferentialTransitionVsBall(t *testing.T) {
+	for _, tc := range []struct {
+		rule rules.Ref
+		init consensus.InitSpec
+	}{
+		{rules.Ref{Name: "median"}, consensus.InitSpec{Kind: "evenblocks", N: kN, M: 5}},
+		{rules.Ref{Name: "majority"}, consensus.InitSpec{Kind: "evenblocks", N: kN, M: 4}},
+		{rules.Ref{Name: "kmedian", Params: rules.Params{"k": 2}}, consensus.InitSpec{Kind: "evenblocks", N: kN, M: 6}},
+	} {
+		t.Run(tc.rule.Name, func(t *testing.T) {
+			var rounds [2][]int
+			wins := [2]map[int64]int{{}, {}}
+			for e, engineName := range []string{"count", "ball"} {
+				for i := 1; i <= kTrials; i++ {
+					res := execute(t, engineName, tc.rule, tc.init, uint64(e*kTrials+i))
+					if res.Reason != "consensus" {
+						t.Fatalf("%s trial %d: %+v", engineName, i, res)
+					}
+					rounds[e] = append(rounds[e], res.Rounds)
+					wins[e][res.Winner]++
+				}
+			}
+			diff, band := meanBand(rounds[0], rounds[1])
+			t.Logf("mean rounds count − ball = %+0.3f (band ± %0.3f)", diff, band)
+			if math.Abs(diff) > band {
+				t.Errorf("mean rounds differ by %0.3f, outside ± %0.3f", diff, band)
+			}
+			for v := range mergeKeys(wins[0], wins[1]) {
+				pc := float64(wins[0][v]) / kTrials
+				pb := float64(wins[1][v]) / kTrials
+				p := (pc + pb) / 2
+				band := sigmas*math.Sqrt(2*p*(1-p)/kTrials) + 0.01
+				if math.Abs(pc-pb) > band {
+					t.Errorf("value %d wins %0.3f on count vs %0.3f on ball, outside ± %0.3f", v, pc, pb, band)
+				}
+			}
+		})
+	}
+}
+
+// mergeKeys returns the union of two maps' keys.
+func mergeKeys(a, b map[int64]int) map[int64]bool {
+	out := map[int64]bool{}
+	for k := range a {
+		out[k] = true
+	}
+	for k := range b {
+		out[k] = true
+	}
+	return out
+}
+
+// TestDifferentialMultidimD1: a d = 1 multidim run is the scalar median
+// dynamics, so the multidim kind over a one-dimensional uniform point set
+// and the scalar count engine over the same-law uniform init must agree
+// on mean rounds-to-consensus within a 5σ band.
+func TestDifferentialMultidimD1(t *testing.T) {
+	const n, m = 400, 8
+	var scalar, multi []int
+	for i := 1; i <= kTrials; i++ {
+		seed := uint64(i)
+		res := execute(t, "count", rules.Ref{Name: "median"}, consensus.InitSpec{Kind: "uniform", N: n, M: m, Seed: seed}, seed)
+		scalar = append(scalar, res.Rounds)
+		mres, err := engine.Execute(engine.Spec{
+			Kind:    "multidim",
+			Seed:    seed,
+			Payload: &multidim.Spec{Init: multidim.InitSpec{Kind: "random", N: n, D: 1, M: m, Seed: seed}},
+		}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi = append(multi, mres.Rounds)
+	}
+	diff, band := meanBand(scalar, multi)
+	t.Logf("mean rounds scalar − multidim(d=1) = %+0.3f (band ± %0.3f)", diff, band)
+	if math.Abs(diff) > band {
+		t.Errorf("mean rounds differ by %0.3f, outside ± %0.3f", diff, band)
 	}
 }

@@ -8,13 +8,21 @@
 // process — a run of the median kind over a twovalue init IS a sample of
 // the chain, so its rounds-to-consensus is a draw of the chain's
 // absorption time and its winner a Bernoulli draw of the chain's win
-// probability. The suite runs fixed-seed trial batches of each count-level
-// engine (twobin, count) through engine.Execute and requires:
+// probability. The suite runs fixed-seed trial batches of the count
+// engine through engine.Execute in both of its round modes — the exact
+// transition round (median) and the per-ball alias loop (a test-only
+// median rule without a transition law) — and requires:
 //
 //   - the mean absorption time within a 5σ band of the exact expectation,
 //   - the win rate within a 5σ band of the exact win probability,
 //   - the empirical absorption CDF within a 5σ band of the exact CDF at
 //     probe rounds.
+//
+// Beyond two values there is no tractable chain, so the per-ball engine
+// is the reference: the transition round on k > 2 values (median,
+// majority, a 2k-choice median) must match it on mean rounds and on the
+// winner distribution within 5σ, and a d = 1 multidim run must match the
+// scalar dynamics on mean rounds.
 //
 // Seeds are fixed, so every band check is deterministic: a failure is a
 // genuine statistical discrepancy (an engine bug or a changed sampling

@@ -26,7 +26,13 @@ import (
 //	1: the first explicitly versioned encoding. Specs encoded before
 //	   versioning carry no "v" field and decode with V == 0; persistence
 //	   layers treat them as a foreign version.
-const SpecVersion = 1
+//	2: same encoding, new realizations. The median kind's count engine
+//	   runs median-like rules through an exact O(k²) transition round,
+//	   auto resolves to it for small supports whether or not the run is
+//	   observed, and the "twobin" engine name is gone. Fixed-seed results
+//	   of median specs that now land on another engine or round mode
+//	   changed, so v1 results are not served under v2 keys.
+const SpecVersion = 2
 
 // ErrSpecVersion marks a spec whose "v" field names a canonical-encoding
 // version this binary does not speak. Persistence layers match it with

@@ -10,7 +10,7 @@
 // random choices are made (model.PostRoundAdversary — the Section 3 timing
 // used by Theorem 10).
 //
-// Three engines share one Result/Options contract:
+// Two engines share one Result/Options contract:
 //
 //   - BallEngine — exact per-ball simulation. O(n) memory, O(n·s) sampling
 //     per round. Supports every adversary hook, per-ball observers, the
@@ -18,13 +18,15 @@
 //     per-shard RNG streams.
 //   - CountEngine — exploits exchangeability: a ball's update depends only
 //     on its own value and the value *distribution*, so the state is the
-//     count vector. Sampling uses an alias table: O(n·s) time but O(m)
-//     memory for m distinct values. Statistically identical to BallEngine
-//     (see the equivalence tests).
-//   - TwoBinEngine — the Section 3 two-bin case at count level with exact
-//     binomial round updates: L_{t+1} ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²),
-//     p = L/n. O(1) memory and O(1) sampling per round, enabling the
-//     lower-bound experiments at n up to 2^62.
+//     count vector, O(k) memory for k live values. A rule that states its
+//     next-value law from the CDF (model.TransitionRule: every median-like
+//     rule) runs a round as k multinomial draws — the k-bin form of the
+//     Section 3 update L' ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²) — in O(k²)
+//     time, independent of n, so the two-bin lower-bound experiments run
+//     at n up to 2^62. Other rules, and supports too wide for the O(k²)
+//     step (see TransitionFits), sample every ball's peers from an alias
+//     table in O(n·s). Both are statistically identical to BallEngine
+//     (see the equivalence and differential tests).
 //
 // All engines stop on consensus (the fixed point b_{t,1} = … = b_{t,n}), on
 // the paper's *almost stable consensus* — all but at most `AlmostSlack`
@@ -384,15 +386,17 @@ func (e *BallEngine) distInto(counts map[Value]int64) ([]Value, []int64) {
 }
 
 // CountEngine simulates the process at the level of the value distribution.
-// Its round workspaces (weights, alias table, accumulator map, sample
-// buffer) are engine-owned and reused across rounds, so a steady-state
-// round performs zero heap allocations (see TestCountEngineStepAllocs).
+// Its round workspaces (CDF and transition rows, next counts, weights,
+// alias table, accumulator map, sample buffer) are engine-owned and reused
+// across rounds, so a steady-state round performs zero heap allocations
+// (see TestCountEngineRoundAllocs).
 type CountEngine struct {
 	vals    []Value
 	counts  []int64
 	n       int64
 	allowed []Value
 	rule    model.Rule
+	trans   model.TransitionRule // rule's next-value law; nil if it has none
 	adv     model.Adversary
 	opts    Options
 	g       *rng.Xoshiro256
@@ -400,9 +404,27 @@ type CountEngine struct {
 	// acc accumulates the next round's distribution.
 	acc map[Value]int64
 	// Round workspaces, retained across rounds.
-	weights []float64
-	alias   randx.Alias
-	sampled []Value
+	cdf, out []float64
+	next     []int64
+	weights  []float64
+	alias    randx.Alias
+	sampled  []Value
+}
+
+// TransitionFits reports whether a count-level round of rule over n balls
+// and k live values runs as the exact O(k²) transition step: the rule
+// states its next-value law (model.TransitionRule) and the step's k·k
+// draws do not outnumber the per-ball loop's n·Samples() peer draws. The
+// count engine applies it to the live support every round; the library's
+// engine pick applies it to the init's support bound.
+func TransitionFits(rule model.Rule, n int64, k int) bool {
+	_, ok := rule.(model.TransitionRule)
+	return ok && transitionFits(n, k, rule.Samples())
+}
+
+//consensus:hotpath
+func transitionFits(n int64, k, samples int) bool {
+	return k >= 1 && float64(k)*float64(k) <= float64(n)*float64(samples)
 }
 
 // NewCountEngine builds a count-level engine from the initial configuration.
@@ -435,11 +457,13 @@ func NewCountEngineDist(d assign.Dist, rule model.Rule, adv model.Adversary, see
 		}
 		n += c
 	}
+	trans, _ := rule.(model.TransitionRule)
 	return &CountEngine{
 		vals:    append([]Value(nil), d.Vals...),
 		counts:  append([]int64(nil), d.Counts...),
 		n:       n,
 		rule:    rule,
+		trans:   trans,
 		adv:     adv,
 		opts:    opts,
 		g:       rng.NewXoshiro256(seed),
@@ -461,19 +485,100 @@ func (e *CountEngine) Round() int { return e.round }
 //consensus:hotpath
 func (e *CountEngine) Step() {
 	if e.adv != nil && e.opts.Timing == BeforeRound {
-		if ca, ok := e.adv.(model.CountAdversary); ok {
-			e.vals, e.counts = ca.CorruptCounts(e.round, e.vals, e.counts, e.allowed, e.g)
-			e.prune()
-		}
+		e.corrupt()
 	}
-	e.stepSampled()
+	if e.trans != nil && transitionFits(e.n, len(e.vals), e.rule.Samples()) {
+		e.stepTransition()
+	} else {
+		e.stepSampled()
+	}
 	if e.adv != nil && e.opts.Timing == AfterChoices {
-		if ca, ok := e.adv.(model.CountAdversary); ok {
-			e.vals, e.counts = ca.CorruptCounts(e.round, e.vals, e.counts, e.allowed, e.g)
-			e.prune()
-		}
+		e.corrupt()
 	}
 	e.round++
+}
+
+// corrupt hands the distribution to a count-level adversary, checks the
+// paper's constraints on what it returns — the ball count is unchanged and
+// every occupied value is an initial value — and drops emptied bins.
+//
+//consensus:hotpath
+func (e *CountEngine) corrupt() {
+	ca, ok := e.adv.(model.CountAdversary)
+	if !ok {
+		return
+	}
+	e.vals, e.counts = ca.CorruptCounts(e.round, e.vals, e.counts, e.allowed, e.g)
+	var total int64
+	for i, c := range e.counts {
+		if _, allowed := slices.BinarySearch(e.allowed, e.vals[i]); c < 0 || (c > 0 && !allowed) {
+			e.badBin(e.vals[i], c)
+		}
+		total += c
+	}
+	if total != e.n {
+		e.badTotal(total)
+	}
+	e.prune()
+}
+
+func (e *CountEngine) badBin(v Value, c int64) {
+	panic(fmt.Sprintf("core: adversary %s left %d balls at value %d (allowed: the initial values)", e.adv.Name(), c, v))
+}
+
+func (e *CountEngine) badTotal(total int64) {
+	panic(fmt.Sprintf("core: adversary %s changed the ball count (%d -> %d)", e.adv.Name(), e.n, total))
+}
+
+// stepTransition is the exact O(k²) round of a model.TransitionRule. The
+// balls of own-bin i move to the k live values as one multinomial draw
+// over the rule's next-value law G (out): conditional binomials
+// Binomial(remaining, (G_j−G_{j−1})/(1−G_{j−1})) over ascending j, G₀
+// itself at j = 0, stopping once no ball remains, the last value taking
+// the remainder. Own-bins are visited in ascending order, so on two
+// values the median rule makes exactly the Section 3 draws
+// Bin(L, 1−(1−p)²) then Bin(n−L, p²).
+//
+//consensus:hotpath
+func (e *CountEngine) stepTransition() {
+	k := len(e.vals)
+	if k == 1 {
+		return // consensus is a fixed point for every sampled rule
+	}
+	if cap(e.cdf) < k {
+		e.cdf = make([]float64, k)
+		e.out = make([]float64, k)
+		e.next = make([]int64, k)
+	}
+	cdf, out, next := e.cdf[:k], e.out[:k], e.next[:k]
+	var cum int64
+	for j, c := range e.counts {
+		cum += c
+		cdf[j] = float64(cum) / float64(e.n)
+		next[j] = 0
+	}
+	for own, c := range e.counts {
+		e.trans.Transition(own, cdf, out)
+		remaining := c
+		prev := 0.0
+		for j := 0; j < k-1 && remaining > 0; j++ {
+			p := out[j]
+			if j > 0 {
+				p = 1
+				if prev < 1 {
+					p = (out[j] - prev) / (1 - prev)
+				}
+			}
+			p = min(max(p, 0), 1)
+			x := randx.Binomial(e.g, remaining, p)
+			next[j] += x
+			remaining -= x
+			prev = out[j]
+		}
+		next[k-1] += remaining
+	}
+	copy(e.counts, next)
+	e.prune()
 }
 
 // stepSampled draws every ball's peers from the current distribution via an
@@ -577,163 +682,4 @@ func (e *CountEngine) plurality() (Value, int64) {
 		}
 	}
 	return best, bestC
-}
-
-// TwoBinEngine simulates the two-bin median (= majority) dynamics exactly at
-// count level with O(1) work per round.
-type TwoBinEngine struct {
-	low, high Value
-	l         int64 // balls holding low
-	n         int64
-	allowed   []Value
-	adv       model.Adversary
-	opts      Options
-	g         *rng.Xoshiro256
-	round     int
-	// obsVals/obsCounts are the reusable two-slot distribution views handed
-	// to the observer and the count adversary each round; refilled before
-	// every use so neither callee's mutations leak into the next round.
-	obsVals   []Value
-	obsCounts []int64
-}
-
-// NewTwoBinEngine builds a two-bin engine with l balls holding low and n−l
-// holding high.
-func NewTwoBinEngine(n, l int64, low, high Value, adv model.Adversary, seed uint64, opts Options) *TwoBinEngine {
-	if n <= 0 || l < 0 || l > n {
-		panic("core: invalid two-bin counts")
-	}
-	if low >= high {
-		panic("core: two-bin needs low < high")
-	}
-	return &TwoBinEngine{
-		low: low, high: high, l: l, n: n,
-		allowed:   []Value{low, high},
-		adv:       adv,
-		opts:      opts,
-		g:         rng.NewXoshiro256(seed),
-		obsVals:   make([]Value, 2),
-		obsCounts: make([]int64, 2),
-	}
-}
-
-// Counts returns (low count, high count).
-func (e *TwoBinEngine) Counts() (int64, int64) { return e.l, e.n - e.l }
-
-// Round returns the number of rounds executed.
-func (e *TwoBinEngine) Round() int { return e.round }
-
-// Imbalance returns Δt = |R−L|/2, the paper's Section 3 imbalance
-// (half-integers occur for odd differences).
-func (e *TwoBinEngine) Imbalance() float64 {
-	r := e.n - e.l
-	d := r - e.l
-	if d < 0 {
-		d = -d
-	}
-	return float64(d) / 2
-}
-
-// Step executes one synchronous round: the adversary (count view), then the
-// exact binomial update
-//
-//	L' ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²),  p = L/n.
-//
-// A ball in the low bin stays unless both its samples are high
-// (median(l,h,h) = h); a high ball moves to low iff both samples are low.
-//
-//consensus:hotpath
-func (e *TwoBinEngine) Step() {
-	if e.adv != nil && e.opts.Timing == BeforeRound {
-		e.corrupt()
-	}
-	p := float64(e.l) / float64(e.n)
-	stay := randx.Binomial(e.g, e.l, 1-(1-p)*(1-p))
-	join := randx.Binomial(e.g, e.n-e.l, p*p)
-	e.l = stay + join
-	if e.adv != nil && e.opts.Timing == AfterChoices {
-		e.corrupt()
-	}
-	e.round++
-}
-
-func (e *TwoBinEngine) corrupt() {
-	ca, ok := e.adv.(model.CountAdversary)
-	if !ok {
-		return
-	}
-	vals, counts := e.distView()
-	vals, counts = ca.CorruptCounts(e.round, vals, counts, e.allowed, e.g)
-	var l, total int64
-	for i, v := range vals {
-		switch v {
-		case e.low:
-			l += counts[i]
-		case e.high:
-			// accounted via total
-		default:
-			if counts[i] != 0 {
-				panic(fmt.Sprintf("core: adversary %s wrote value %d outside the two-bin support", e.adv.Name(), v))
-			}
-		}
-		total += counts[i]
-	}
-	if total != e.n {
-		panic(fmt.Sprintf("core: adversary %s changed the ball count (%d -> %d)", e.adv.Name(), e.n, total))
-	}
-	e.l = l
-}
-
-// Run executes rounds until a stop condition fires.
-func (e *TwoBinEngine) Run() Result {
-	maxRounds := e.opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
-	}
-	tracker := newStabilityTracker(e.n, e.adv == nil, e.opts)
-	if w, c, stop, res := e.check(tracker, 0); stop {
-		return Result{Rounds: 0, Reason: res, Winner: w, WinnerCount: c, StableSince: tracker.since}
-	}
-	for e.round < maxRounds {
-		e.Step()
-		if w, c, stop, res := e.check(tracker, e.round); stop {
-			return Result{Rounds: e.round, Reason: res, Winner: w, WinnerCount: c, StableSince: tracker.since}
-		}
-	}
-	w, c := e.plurality()
-	return Result{Rounds: e.round, Reason: model.StopMaxRounds, Winner: w, WinnerCount: c}
-}
-
-//consensus:hotpath
-func (e *TwoBinEngine) check(tracker *stabilityTracker, round int) (Value, int64, bool, model.StopReason) {
-	w, c := e.plurality()
-	if e.opts.Observer != nil {
-		vals, counts := e.distView()
-		e.opts.Observer(round, vals, counts)
-	}
-	if reason, stop := tracker.observe(round, w, c); stop {
-		return w, c, true, reason
-	}
-	return w, c, false, 0
-}
-
-// distView refills and returns the engine-owned two-slot distribution
-// scratch — the per-round (vals, counts) view shared by the observer and
-// the adversary, allocation-free at steady state.
-//
-//consensus:hotpath
-func (e *TwoBinEngine) distView() ([]Value, []int64) {
-	vals, counts := e.obsVals[:2], e.obsCounts[:2]
-	vals[0], vals[1] = e.low, e.high
-	counts[0], counts[1] = e.l, e.n-e.l
-	return vals, counts
-}
-
-//consensus:hotpath
-func (e *TwoBinEngine) plurality() (Value, int64) {
-	r := e.n - e.l
-	if e.l >= r {
-		return e.low, e.l
-	}
-	return e.high, r
 }

@@ -7,8 +7,11 @@ import (
 	"testing/quick"
 
 	"repro/adversary"
+	"repro/internal/analysis"
 	"repro/internal/assign"
 	"repro/internal/model"
+	"repro/internal/randx"
+	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/rules"
 )
@@ -295,8 +298,33 @@ func TestCountEngineWithBalancerStallsThenReleased(t *testing.T) {
 	}
 }
 
+// twoBinEngine returns a count engine over the Section 3 two-bin state —
+// l balls at 1, n−l at 2 — under the median rule, where its exact
+// transition round is L' ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²). An empty bin
+// is left out of the start distribution.
+func twoBinEngine(n, l int64, adv model.Adversary, seed uint64, opts Options) *CountEngine {
+	var d assign.Dist
+	for v, c := range []int64{l, n - l} {
+		if c > 0 {
+			d.Vals = append(d.Vals, Value(v+1))
+			d.Counts = append(d.Counts, c)
+		}
+	}
+	return NewCountEngineDist(d, rules.Median{}, adv, seed, opts)
+}
+
+// twoBinCounts returns the loads of values 1 and 2 (0 for an empty bin).
+func twoBinCounts(e *CountEngine) []int64 {
+	vals, counts := e.Dist()
+	out := []int64{0, 0}
+	for i, v := range vals {
+		out[v-1] = counts[i]
+	}
+	return out
+}
+
 func TestTwoBinEngineConverges(t *testing.T) {
-	e := NewTwoBinEngine(1000, 500, 1, 2, nil, 17, Options{MaxRounds: 5000})
+	e := twoBinEngine(1000, 500, nil, 17, Options{MaxRounds: 5000})
 	res := e.Run()
 	if res.Reason != model.StopConsensus {
 		t.Fatalf("two-bin did not converge: %+v", res)
@@ -313,7 +341,7 @@ func TestTwoBinEngineMatchesBallEngineStatistically(t *testing.T) {
 	const n = 800
 	var tb, ball []float64
 	for s := uint64(0); s < 30; s++ {
-		tb = append(tb, float64(NewTwoBinEngine(n, n/2, 1, 2, nil, s, Options{}).Run().Rounds))
+		tb = append(tb, float64(twoBinEngine(n, n/2, nil, s, Options{}).Run().Rounds))
 		cfg := assign.TwoValue(n, n/2, 1, 2)
 		ball = append(ball, float64(NewBallEngine(cfg, rules.Median{}, nil, s+500, Options{}).Run().Rounds))
 	}
@@ -323,32 +351,52 @@ func TestTwoBinEngineMatchesBallEngineStatistically(t *testing.T) {
 	}
 }
 
-func TestTwoBinEngineImbalance(t *testing.T) {
-	e := NewTwoBinEngine(100, 20, 1, 2, nil, 1, Options{})
-	if got := e.Imbalance(); got != 30 {
-		t.Fatalf("imbalance %v, want 30", got)
+// TestCountEngineTransitionIsTwoBinUpdate pins the transition round on two
+// values to the Section 3 update draw for draw: from the same seed, a
+// reference loop making the two binomial draws L' = Bin(L, 1−(1−p)²) +
+// Bin(n−L, p²) must produce the same low-bin load every round.
+func TestCountEngineTransitionIsTwoBinUpdate(t *testing.T) {
+	const n, seed = 100_000, 42
+	e := twoBinEngine(n, n/2-300, nil, seed, Options{})
+	g := rng.NewXoshiro256(seed)
+	l := int64(n/2 - 300)
+	for r := 0; l > 0 && l < n; r++ {
+		p := float64(l) / float64(n)
+		l = randx.Binomial(g, l, 1-(1-p)*(1-p)) + randx.Binomial(g, n-l, p*p)
+		e.Step()
+		if got := twoBinCounts(e)[0]; got != l {
+			t.Fatalf("round %d: count engine low load %d, two-bin update %d", r+1, got, l)
+		}
 	}
-	l, r := e.Counts()
-	if l != 20 || r != 80 {
-		t.Fatalf("counts %d,%d", l, r)
+}
+
+func TestTwoBinEngineImbalance(t *testing.T) {
+	e := twoBinEngine(100, 20, nil, 1, Options{})
+	st := analysis.TwoBin(twoBinCounts(e))
+	if st.Delta != 30 {
+		t.Fatalf("imbalance %v, want 30", st.Delta)
+	}
+	if st.L != 20 || st.R != 80 {
+		t.Fatalf("counts %d,%d", st.L, st.R)
 	}
 }
 
 func TestTwoBinEnginePanics(t *testing.T) {
-	cases := []func(){
-		func() { NewTwoBinEngine(0, 0, 1, 2, nil, 1, Options{}) },
-		func() { NewTwoBinEngine(10, 11, 1, 2, nil, 1, Options{}) },
-		func() { NewTwoBinEngine(10, -1, 1, 2, nil, 1, Options{}) },
-		func() { NewTwoBinEngine(10, 5, 2, 2, nil, 1, Options{}) },
+	cases := []assign.Dist{
+		{},
+		{Vals: []Value{1, 2}, Counts: []int64{11, -1}},
+		{Vals: []Value{1, 2}, Counts: []int64{0, 10}},
+		{Vals: []Value{2, 2}, Counts: []int64{5, 5}},
+		{Vals: []Value{1, 2}, Counts: []int64{10}},
 	}
-	for i, f := range cases {
+	for i, d := range cases {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("case %d: expected panic", i)
 				}
 			}()
-			f()
+			NewCountEngineDist(d, rules.Median{}, nil, 1, Options{})
 		}()
 	}
 }
@@ -358,14 +406,14 @@ func TestTwoBinEngineBalancerKeepsBalance(t *testing.T) {
 	// 50/50 split indefinitely.
 	const n = 10000
 	adv := adversary.NewBalancer(adversary.Fixed(n/2), 1, 2)
-	e := NewTwoBinEngine(n, n/2, 1, 2, adv, 3, Options{})
+	e := twoBinEngine(n, n/2, adv, 3, Options{})
 	for r := 0; r < 50; r++ {
 		e.Step()
 	}
-	if d := e.Imbalance(); d > float64(n)/4 {
+	if d := analysis.TwoBin(twoBinCounts(e)).Delta; d > float64(n)/4 {
 		t.Fatalf("imbalance %v despite full-power balancer", d)
 	}
-	res := NewTwoBinEngine(n, n/2, 1, 2, adversary.NewBalancer(adversary.Fixed(n/2), 1, 2), 4,
+	res := twoBinEngine(n, n/2, adversary.NewBalancer(adversary.Fixed(n/2), 1, 2), 4,
 		Options{MaxRounds: 300}).Run()
 	if res.Reason != model.StopMaxRounds {
 		t.Fatalf("expected stall, got %+v", res)
@@ -374,10 +422,23 @@ func TestTwoBinEngineBalancerKeepsBalance(t *testing.T) {
 
 func TestTwoBinEngineRejectsForeignValues(t *testing.T) {
 	bad := adversary.NewHider(adversary.Fixed(5), 99) // 99 is outside {1,2}
-	e := NewTwoBinEngine(100, 50, 1, 2, bad, 1, Options{})
+	e := twoBinEngine(100, 50, bad, 1, Options{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for foreign value")
+		}
+	}()
+	e.Step()
+}
+
+// TestCountEngineRejectsBallCountChange: a count adversary must move
+// balls, never create or destroy them.
+func TestCountEngineRejectsBallCountChange(t *testing.T) {
+	leak := &countBalancerStub{leak: true}
+	e := twoBinEngine(100, 50, leak, 1, Options{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a changed ball count")
 		}
 	}()
 	e.Step()
@@ -467,16 +528,16 @@ func TestQuickTwoValueValidity(t *testing.T) {
 	}
 }
 
-// Property: TwoBinEngine counts always stay within [0, n].
+// Property: two-bin counts always stay within [0, n] and sum to n.
 func TestQuickTwoBinCountsBounded(t *testing.T) {
 	f := func(seed uint16, lRaw uint16) bool {
 		const n = 1000
 		l := int64(lRaw) % (n + 1)
-		e := NewTwoBinEngine(n, l, 1, 2, nil, uint64(seed), Options{})
+		e := twoBinEngine(n, l, nil, uint64(seed), Options{})
 		for r := 0; r < 30; r++ {
 			e.Step()
-			lo, hi := e.Counts()
-			if lo < 0 || hi < 0 || lo+hi != n {
+			c := twoBinCounts(e)
+			if c[0] < 0 || c[1] < 0 || c[0]+c[1] != n {
 				return false
 			}
 		}
@@ -498,7 +559,7 @@ func TestResultStringRenders(t *testing.T) {
 func TestEngineRoundAccessors(t *testing.T) {
 	cfg := assign.Config(assign.EvenBlocks(100, 4))
 	ce := NewCountEngine(cfg, rules.Median{}, nil, 1, Options{})
-	te := NewTwoBinEngine(100, 40, 1, 2, nil, 1, Options{})
+	te := twoBinEngine(100, 40, nil, 1, Options{})
 	if ce.Round() != 0 || te.Round() != 0 {
 		t.Fatal("fresh engines must report round 0")
 	}
@@ -542,8 +603,12 @@ func TestCountEngineAfterChoicesTiming(t *testing.T) {
 }
 
 // countBalancerStub is an unlimited-budget count balancer used to pin the
-// AfterChoices code path.
-type countBalancerStub struct{ calls int }
+// AfterChoices code path. With leak set it also drops a ball, breaking
+// the count adversary contract.
+type countBalancerStub struct {
+	calls int
+	leak  bool
+}
 
 func (s *countBalancerStub) Name() string     { return "stub-balancer" }
 func (s *countBalancerStub) Budget(n int) int { return n }
@@ -555,12 +620,15 @@ func (s *countBalancerStub) CorruptCounts(round int, vals []Value, counts []int6
 	sum := counts[0] + counts[1]
 	counts[0] = sum / 2
 	counts[1] = sum - sum/2
+	if s.leak {
+		counts[0]--
+	}
 	return vals, counts
 }
 
 func TestTwoBinImbalanceAtConsensus(t *testing.T) {
-	e := NewTwoBinEngine(100, 0, 1, 2, nil, 1, Options{})
-	if got := e.Imbalance(); got != 50 {
+	e := twoBinEngine(100, 0, nil, 1, Options{})
+	if got := analysis.TwoBin(twoBinCounts(e)).Delta; got != 50 {
 		t.Fatalf("one-sided imbalance Δ = %v, want 50 (= (Y−X)/2)", got)
 	}
 }
@@ -574,9 +642,14 @@ func TestCountEnginePanicsOnEmpty(t *testing.T) {
 	NewCountEngine(assign.Config(nil), rules.Median{}, nil, 1, Options{})
 }
 
+// samplingOnly hides a rule's Transition method, forcing the count
+// engine's per-ball alias loop.
+type samplingOnly struct{ model.Rule }
+
 // TestCountEngineRoundAllocs pins the count engine's zero-allocation round
-// loop: once every engine-owned workspace (weights, alias table,
-// accumulator map, sample buffer, sorted vectors) has been warmed, a
+// loops — the transition step (CDF and transition rows, next counts) and
+// the per-ball alias loop (weights, alias table, accumulator map, sample
+// buffer): once every engine-owned workspace has been warmed, a
 // steady-state round — including a count-level adversary that keeps the
 // chain from absorbing — must not touch the heap.
 func TestCountEngineRoundAllocs(t *testing.T) {
@@ -584,24 +657,25 @@ func TestCountEngineRoundAllocs(t *testing.T) {
 		Vals:   []Value{1, 2, 3, 4, 5},
 		Counts: []int64{2000, 2000, 2000, 2000, 2000},
 	}
-	eng := NewCountEngineDist(d, rules.Median{}, adversary.NewRandomNoise(adversary.Fixed(4)), 1, Options{})
-	for i := 0; i < 8; i++ {
-		eng.Step()
-	}
-	if avg := testing.AllocsPerRun(50, func() { eng.Step() }); avg != 0 {
-		t.Fatalf("steady-state count round allocates (%v allocs/round)", avg)
+	for _, rule := range []model.Rule{rules.Median{}, samplingOnly{rules.Median{}}} {
+		eng := NewCountEngineDist(d, rule, adversary.NewRandomNoise(adversary.Fixed(4)), 1, Options{})
+		for i := 0; i < 8; i++ {
+			eng.Step()
+		}
+		if avg := testing.AllocsPerRun(50, func() { eng.Step() }); avg != 0 {
+			t.Fatalf("%T: steady-state count round allocates (%v allocs/round)", rule, avg)
+		}
 	}
 }
 
 // TestTwoBinObservedRoundAllocs pins the observer + adversary round path
-// of the two-bin engine: the per-round (vals, counts) views handed to
-// both the observer and the count adversary are engine-owned scratch
-// (distView), so an observed, adversarial steady-state round must not
-// touch the heap.
+// of the count engine on two bins: the (vals, counts) vectors handed to
+// both the observer and the count adversary are the engine's own state,
+// so an observed, adversarial steady-state round must not touch the heap.
 func TestTwoBinObservedRoundAllocs(t *testing.T) {
 	tracker := newStabilityTracker(1<<20, false, Options{})
 	var seen int64
-	eng := NewTwoBinEngine(1<<20, 1<<19, 1, 2, adversary.NewBalancer(adversary.Fixed(64), 1, 2), 1, Options{
+	eng := twoBinEngine(1<<20, 1<<19, adversary.NewBalancer(adversary.Fixed(64), 1, 2), 1, Options{
 		Observer: func(round int, vals []Value, counts []int64) {
 			seen += counts[0]
 		},

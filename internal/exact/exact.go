@@ -16,7 +16,7 @@
 // absorption times come from direct linear algebra rather than simulation.
 // The package is used three ways:
 //
-//   - to validate the TwoBinEngine's binomial-update implementation
+//   - to validate the count engine's two-bin transition round
 //     (its empirical absorption times must match the exact expectation),
 //   - to validate Lemma 12/15-style drift claims at small n where "w.h.p."
 //     statements can be checked against exact probabilities, and

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/rules"
 )
 
 func TestBinomialPMFSumsAndMean(t *testing.T) {
@@ -151,10 +153,17 @@ func TestAbsorptionTimesLinearSystemResidual(t *testing.T) {
 	}
 }
 
+// twoBin returns a count engine over the two-bin state: start balls at 1,
+// the other n−start at 2, under the median rule — the chain's state start.
+func twoBin(n, start int64, seed uint64) *core.CountEngine {
+	d := assign.Dist{Vals: []core.Value{1, 2}, Counts: []int64{start, n - start}}
+	return core.NewCountEngineDist(d, rules.Median{}, nil, seed, core.Options{})
+}
+
 func TestExactMatchesTwoBinEngine(t *testing.T) {
-	// The Monte-Carlo TwoBinEngine must reproduce the exact expected
-	// absorption time. This is the ground-truth cross-validation of the
-	// engine's binomial update.
+	// The count engine's Monte-Carlo two-bin runs must reproduce the
+	// exact expected absorption time. This is the ground-truth
+	// cross-validation of the engine's binomial transition round.
 	const n, start, trials = 60, 30, 4000
 	c := NewChain(n)
 	want := c.AbsorptionTimes()[start]
@@ -162,8 +171,7 @@ func TestExactMatchesTwoBinEngine(t *testing.T) {
 	g := rng.NewXoshiro256(12345)
 	var sum float64
 	for k := 0; k < trials; k++ {
-		e := core.NewTwoBinEngine(n, start, 1, 2, nil, g.Uint64(), core.Options{})
-		sum += float64(e.Run().Rounds)
+		sum += float64(twoBin(n, start, g.Uint64()).Run().Rounds)
 	}
 	got := sum / trials
 	// Standard error of the mean is ≈ sd/√trials; absorption times at
@@ -182,8 +190,7 @@ func TestWinProbabilityMatchesTwoBinEngine(t *testing.T) {
 	g := rng.NewXoshiro256(999)
 	wins := 0
 	for k := 0; k < trials; k++ {
-		e := core.NewTwoBinEngine(n, start, 1, 2, nil, g.Uint64(), core.Options{})
-		res := e.Run()
+		res := twoBin(n, start, g.Uint64()).Run()
 		if res.Winner == 1 {
 			wins++
 		}

@@ -46,6 +46,22 @@ type Rule interface {
 	Update(own Value, sampled []Value) Value
 }
 
+// TransitionRule is the optional Rule extension for rules whose next value
+// depends only on the ball's own value and the current value distribution
+// — every median-like rule. It lets count-level engines run a round as k
+// multinomial draws over the k live values, exact in distribution and
+// independent of n: the k-bin form of the paper's Section 3 update
+// L' ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²).
+type TransitionRule interface {
+	Rule
+	// Transition fills out with the next-value CDF of a ball holding
+	// vals[own]: out[j] = P(new ≤ vals[j]), given cdf[j], the fraction of
+	// balls holding a value ≤ vals[j]. The live values vals are strictly
+	// increasing, cdf and out have one entry per value, and cdf ends at 1.
+	// The next value must be one of vals, so out ends at 1 too.
+	Transition(own int, cdf, out []float64)
+}
+
 // Adversary is the paper's T-bounded adversary (Section 1.1): at the
 // beginning of each round it may rewrite the state of up to Budget(n)
 // processes, restricted to the initial value set. Concrete adversaries

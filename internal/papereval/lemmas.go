@@ -79,10 +79,11 @@ func E9Lemma15Drift(s Scale) Report {
 		hits := 0
 		var ratio stats.Counter
 		for tr := 0; tr < trials; tr++ {
-			e := core.NewTwoBinEngine(n, l, 1, 2, nil, g.Uint64(), core.Options{})
+			e := twoBin(n, l, g.Uint64())
 			e.Step()
-			ratio.Add(e.Imbalance() / float64(delta))
-			if e.Imbalance() >= float64(delta)*4/3 {
+			imb := math.Abs(float64(n-2*lowCount(e))) / 2
+			ratio.Add(imb / float64(delta))
+			if imb >= float64(delta)*4/3 {
 				hits++
 			}
 		}
@@ -110,6 +111,23 @@ func E9Lemma15Drift(s Scale) Report {
 	}
 }
 
+// twoBin returns a count engine over the Section 3 two-bin state: n balls,
+// l of them holding 1 and the rest 2, under the median rule. Its exact
+// transition round is L' ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²).
+func twoBin(n, l int64, seed uint64) *core.CountEngine {
+	d := assign.Dist{Vals: []core.Value{1, 2}, Counts: []int64{l, n - l}}
+	return core.NewCountEngineDist(d, rules.Median{}, nil, seed, core.Options{})
+}
+
+// lowCount returns how many balls of a two-bin engine hold 1.
+func lowCount(e *core.CountEngine) int64 {
+	vals, counts := e.Dist()
+	if vals[0] == 1 {
+		return counts[0]
+	}
+	return 0
+}
+
 // E10Lemma14CLT measures the kick-start lemma: from a perfectly balanced
 // state, one round produces |Ψ| ≥ c√n with at least the paper's
 // closed-form constant probability.
@@ -128,10 +146,9 @@ func E10Lemma14CLT(s Scale) Report {
 	for _, c := range []float64{0.1, 0.25, 0.5} {
 		hits := 0
 		for tr := 0; tr < trials; tr++ {
-			e := core.NewTwoBinEngine(n, n/2, 1, 2, nil, g.Uint64(), core.Options{})
+			e := twoBin(n, n/2, g.Uint64())
 			e.Step()
-			l, r := e.Counts()
-			psi := float64(r-l) / 2
+			psi := float64(n-2*lowCount(e)) / 2
 			if psi >= c*math.Sqrt(float64(n)) {
 				hits++
 			}
@@ -424,7 +441,7 @@ func E15Lemma11LogLog(s Scale) Report {
 				Rule:      rules.Median{},
 				Seed:      seed,
 				MaxRounds: s.MaxRounds,
-				Engine:    consensus.EngineTwoBin,
+				Engine:    consensus.EngineCount,
 			}).Rounds)
 		},
 	}
@@ -617,13 +634,13 @@ func E18MultidimFutureWork(s Scale) Report {
 // E19ExactValidation cross-validates the Monte-Carlo engines against the
 // exact two-bin Markov chain: for small populations the expected
 // absorption time and the win probability of the minority value are
-// computed by dense linear algebra (internal/exact) and compared with
-// TwoBinEngine estimates. Agreement here certifies the binomial-update
-// implementation every large-n experiment relies on.
+// computed by dense linear algebra (internal/exact) and compared with the
+// count engine's two-bin estimates. Agreement here certifies the
+// binomial-update implementation every large-n experiment relies on.
 func E19ExactValidation(s Scale) Report {
 	trials := 400 * s.Reps
 	tab := &experiment.Table{
-		Title:  fmt.Sprintf("exact chain vs TwoBinEngine (%d trials per cell)", trials),
+		Title:  fmt.Sprintf("exact chain vs count engine (%d trials per cell)", trials),
 		Header: []string{"n", "start", "E[rounds] exact", "E[rounds] simulated", "win-prob exact", "win-prob simulated"},
 	}
 	worstT, worstW := 0.0, 0.0
@@ -637,8 +654,7 @@ func E19ExactValidation(s Scale) Report {
 		var sumR float64
 		wins := 0
 		for k := 0; k < trials; k++ {
-			e := core.NewTwoBinEngine(int64(tc.n), int64(tc.start), 1, 2, nil, g.Uint64(), core.Options{})
-			res := e.Run()
+			res := twoBin(int64(tc.n), int64(tc.start), g.Uint64()).Run()
 			sumR += float64(res.Rounds)
 			if res.Winner == 1 {
 				wins++

@@ -98,7 +98,7 @@ func E1Fig1TwoBins(s Scale) Report {
 					Rule:      rules.Median{},
 					Seed:      seed,
 					MaxRounds: s.MaxRounds,
-					Engine:    consensus.EngineTwoBin,
+					Engine:    consensus.EngineCount,
 				}
 				if adv {
 					// 0.5·√n: Theorem 2's T ≤ √n hides the Lemma 12/16
@@ -311,7 +311,7 @@ func E5LowerBound(s Scale) Report {
 					Seed:        seed,
 					MaxRounds:   cap,
 					AlmostSlack: almostSlack(nn),
-					Engine:      consensus.EngineTwoBin,
+					Engine:      consensus.EngineCount,
 				})
 				return float64(res.Rounds)
 			},

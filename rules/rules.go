@@ -22,11 +22,16 @@
 //     model; needs Θ(n) rounds on the complete graph and serves as the
 //     "one choice" contrast.
 //
+// Every rule but Mean also implements model.TransitionRule — its next
+// value depends only on its own value and the value distribution — so the
+// count engine runs it in O(k²) per round for k live values.
+//
 // All rules are stateless and safe for concurrent use.
 package rules
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/model"
@@ -65,6 +70,20 @@ func (Median) Update(own Value, sampled []Value) Value {
 	return b
 }
 
+// Transition implements model.TransitionRule in the Section 3 form:
+// median(own, s0, s1) ≤ v iff at least two of the three are, so with
+// F = cdf[j] a ball at or below v stays there unless both samples are
+// above it, and a ball above v gets there only if both samples are.
+func (Median) Transition(own int, cdf, out []float64) {
+	for j, f := range cdf {
+		if own <= j {
+			out[j] = 1 - (1-f)*(1-f)
+		} else {
+			out[j] = f * f
+		}
+	}
+}
+
 // Majority adopts the majority value among own and two samples, keeping the
 // own value on three-way ties. On two-value states it is exactly Median; it
 // is provided separately because Section 3 phrases the two-bin analysis in
@@ -90,6 +109,27 @@ func (Majority) Update(own Value, sampled []Value) Value {
 	return own
 }
 
+// Transition implements model.TransitionRule: a ball adopts value x when
+// both samples hold it (probability p_x², p_x the fraction holding x) and
+// keeps its own value otherwise.
+func (Majority) Transition(own int, cdf, out []float64) {
+	var agree, prev float64 // P(both samples hold the same value)
+	for _, f := range cdf {
+		agree += (f - prev) * (f - prev)
+		prev = f
+	}
+	var below float64 // P(both samples hold the same value ≤ vals[j])
+	prev = 0
+	for j, f := range cdf {
+		below += (f - prev) * (f - prev)
+		prev = f
+		out[j] = below
+		if own <= j {
+			out[j] += 1 - agree
+		}
+	}
+}
+
 // Minimum is the introduction's minimum rule: contact one random process and
 // keep the smaller value. Fast without an adversary, non-stabilizing with
 // one.
@@ -109,6 +149,17 @@ func (Minimum) Update(own Value, sampled []Value) Value {
 	return own
 }
 
+// Transition implements model.TransitionRule: min(own, s) ≤ v iff own or
+// the sample is.
+func (Minimum) Transition(own int, cdf, out []float64) {
+	for j, f := range cdf {
+		out[j] = f
+		if own <= j {
+			out[j] = 1
+		}
+	}
+}
+
 // Maximum is the mirror image of Minimum.
 type Maximum struct{}
 
@@ -124,6 +175,17 @@ func (Maximum) Update(own Value, sampled []Value) Value {
 		return sampled[0]
 	}
 	return own
+}
+
+// Transition implements model.TransitionRule: max(own, s) ≤ v iff own and
+// the sample both are.
+func (Maximum) Transition(own int, cdf, out []float64) {
+	for j, f := range cdf {
+		out[j] = 0
+		if own <= j {
+			out[j] = f
+		}
+	}
 }
 
 // Mean is the averaging rule of [17] in the gossip model: adopt the rounded
@@ -190,6 +252,45 @@ func (r KMedian) Update(own Value, sampled []Value) Value {
 	return buf[len(buf)/2]
 }
 
+// Transition implements model.TransitionRule: the median of the 2K+1
+// values is ≤ v iff at least K+1 of them are, so a ball at or below v
+// needs K of its 2K samples there, a ball above v needs K+1 — binomial
+// tails in F = cdf[j]. K = 1 is Median's form.
+func (r KMedian) Transition(own int, cdf, out []float64) {
+	if r.K == 1 {
+		Median{}.Transition(own, cdf, out)
+		return
+	}
+	for j, f := range cdf {
+		need := r.K + 1
+		if own <= j {
+			need = r.K
+		}
+		out[j] = 1 - binomialCDF(2*r.K, need-1, f)
+	}
+}
+
+// binomialCDF returns P(Bin(m, p) ≤ x). The pmf terms are stepped in log
+// space, so an underflowing early term never zeroes the ones after it.
+func binomialCDF(m, x int, p float64) float64 {
+	switch {
+	case x < 0:
+		return 0
+	case x >= m || p <= 0:
+		return 1
+	case p >= 1:
+		return 0
+	}
+	ratio := math.Log(p) - math.Log1p(-p)
+	logTerm := float64(m) * math.Log1p(-p) // log P(Bin = 0)
+	sum := 0.0
+	for i := 0; i <= x; i++ {
+		sum += math.Exp(logTerm)
+		logTerm += math.Log(float64(m-i)/float64(i+1)) + ratio
+	}
+	return min(sum, 1)
+}
+
 // Voter adopts one uniformly sampled value unconditionally — the classical
 // single-choice voter model, the paper's "deterministic single choice rule
 // would only allow us to implement the minimum or maximum rule" contrast
@@ -204,3 +305,7 @@ func (Voter) Samples() int { return 1 }
 
 // Update returns sampled[0].
 func (Voter) Update(_ Value, sampled []Value) Value { return sampled[0] }
+
+// Transition implements model.TransitionRule: the new value is the
+// sample's.
+func (Voter) Transition(_ int, cdf, out []float64) { copy(out, cdf) }

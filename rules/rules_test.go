@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -240,5 +241,90 @@ func TestQuickKMedianSymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTransitionMatchesUpdate checks every rule's next-value law against
+// brute force: for a ball at each own value, enumerate every tuple of
+// sampled values, weight it by the product of the values' frequencies,
+// and accumulate P(Update(own, tuple) ≤ vals[j]).
+func TestTransitionMatchesUpdate(t *testing.T) {
+	vals := []Value{2, 5, 6, 9}
+	probs := []float64{0.1, 0.35, 0.2, 0.35}
+	cdf := make([]float64, len(vals))
+	var acc float64
+	for j, p := range probs {
+		acc += p
+		cdf[j] = acc
+	}
+	cdf[len(cdf)-1] = 1
+	for _, r := range []Rule{Median{}, Majority{}, Minimum{}, Maximum{}, Voter{}, NewKMedian(1), NewKMedian(2), NewKMedian(3)} {
+		tr, ok := r.(interface{ Transition(int, []float64, []float64) })
+		if !ok {
+			t.Fatalf("%s has no Transition", r.Name())
+		}
+		s := r.Samples()
+		for own := range vals {
+			want := make([]float64, len(vals))
+			idx := make([]int, s)
+			sampled := make([]Value, s)
+			for {
+				w := 1.0
+				for k, i := range idx {
+					sampled[k] = vals[i]
+					w *= probs[i]
+				}
+				next := r.Update(vals[own], sampled)
+				for j, v := range vals {
+					if next <= v {
+						want[j] += w
+					}
+				}
+				k := 0
+				for k < s && idx[k] == len(vals)-1 {
+					idx[k] = 0
+					k++
+				}
+				if k == s {
+					break
+				}
+				idx[k]++
+			}
+			got := make([]float64, len(vals))
+			tr.Transition(own, cdf, got)
+			for j := range vals {
+				if math.Abs(got[j]-want[j]) > 1e-12 {
+					t.Errorf("%s own=%d: P(new ≤ %d) = %v, brute force %v", r.Name(), vals[own], vals[j], got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestMeanHasNoTransition: the mean rule invents values, so it must not
+// claim a next-value law over the current values.
+func TestMeanHasNoTransition(t *testing.T) {
+	if _, ok := Rule(Mean{}).(interface{ Transition(int, []float64, []float64) }); ok {
+		t.Fatal("Mean must not implement Transition")
+	}
+}
+
+func TestBinomialCDF(t *testing.T) {
+	for _, c := range []struct {
+		m, x int
+		p    float64
+		want float64
+	}{
+		{4, 1, 0.5, 5.0 / 16},
+		{4, -1, 0.5, 0},
+		{4, 4, 0.3, 1},
+		{4, 2, 0, 1},
+		{4, 2, 1, 0},
+		{2000, 1990, 0.999, 4.5833e-5}, // an underflowing first term
+	} {
+		got := binomialCDF(c.m, c.x, c.p)
+		if math.Abs(got-c.want) > 1e-4*c.want+1e-12 {
+			t.Errorf("binomialCDF(%d, %d, %v) = %v, want %v", c.m, c.x, c.p, got, c.want)
+		}
 	}
 }

@@ -430,11 +430,21 @@ func TestSubmitPopulationLimit(t *testing.T) {
 	}}); err == nil {
 		t.Fatal("population above MaxN must be rejected")
 	}
+	// The mean rule has no transition law, so a small blocks init runs
+	// per-ball and materializes all 1200 processes.
 	if _, err := s.Submit(Spec{Payload: &MedianSpec{
 		Init: InitSpec{Kind: "blocks", Counts: []int64{600, 600}},
-		Rule: RuleSpec{Name: "median"},
+		Rule: RuleSpec{Name: "mean"},
 	}}); err == nil {
 		t.Fatal("blocks population above MaxN must be rejected")
+	}
+	// The median rule runs the same init on the count engine, which
+	// holds two bins: the charge is the materialized size, not n.
+	if _, err := s.Submit(Spec{Seed: 1, Payload: &MedianSpec{
+		Init: InitSpec{Kind: "blocks", Counts: []int64{600, 600}},
+		Rule: RuleSpec{Name: "median"},
+	}}); err != nil {
+		t.Fatalf("a two-bin count run above MaxN must be accepted: %v", err)
 	}
 	if _, err := s.Submit(Spec{Seed: 1, Payload: &MedianSpec{
 		Init: InitSpec{Kind: "twovalue", N: 1000},

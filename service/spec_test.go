@@ -74,7 +74,7 @@ func TestSpecRoundTripAdversaries(t *testing.T) {
 // TestSpecRoundTripEngines does the same for every engine the median kind
 // exposes (gossip is a kind of its own now and is rejected here).
 func TestSpecRoundTripEngines(t *testing.T) {
-	for _, name := range []string{"auto", "ball", "count", "twobin"} {
+	for _, name := range []string{"auto", "ball", "count"} {
 		spec := medianSpec(3, MedianSpec{
 			Init:   InitSpec{Kind: "twovalue", N: 64},
 			Rule:   RuleSpec{Name: "median"},
@@ -300,7 +300,10 @@ func TestCanonicalHashKinds(t *testing.T) {
 // encoding now carries the spec-codec version ("v", engine.SpecVersion),
 // so every key changed at once and store records persisted under the
 // pre-version codec are preserved opaquely instead of orphaned silently
-// (see TestSpecVersionMigration in service/store).
+// (see TestSpecVersionMigration in service/store). Version 2 bumped
+// them again: the encoding is unchanged, but the median kind's fixed-seed
+// realizations changed with the count engine's transition round, so v1
+// results must not be served under the new keys.
 func TestGoldenHashes(t *testing.T) {
 	cases := []struct {
 		kind      string
@@ -314,8 +317,8 @@ func TestGoldenHashes(t *testing.T) {
 				Init: InitSpec{Kind: "twovalue", N: 1000},
 				Rule: RuleSpec{Name: "median"},
 			}),
-			canonical: `{"engine":"auto","init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"median","rule":{"name":"median"},"seed":1,"timing":"before-round","v":1}`,
-			hash:      "e325e5f4b99e541c70d83d865e5c34cbf82079a60275e9bdc99a8ec6bd2ff55d",
+			canonical: `{"engine":"auto","init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"median","rule":{"name":"median"},"seed":1,"timing":"before-round","v":2}`,
+			hash:      "a32fc45202e289639128767e505aed94ffdca0cfb74095c2263957906b29af5e",
 		},
 		{
 			kind: KindGossip,
@@ -323,8 +326,8 @@ func TestGoldenHashes(t *testing.T) {
 				Init:     InitSpec{Kind: "twovalue", N: 1000},
 				Selector: "drop-value:2",
 			}},
-			canonical: `{"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"gossip","rule":{"name":"median"},"seed":1,"selector":"drop-value:2","v":1}`,
-			hash:      "7614ea03853c6b7fca21373eb5c830734b7ee9b7da66a441f0e215a3bda46f0b",
+			canonical: `{"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"gossip","rule":{"name":"median"},"seed":1,"selector":"drop-value:2","v":2}`,
+			hash:      "4c7fe79b39c4cb4e9ed0bf65bbb4e7735093538cdd5dfedb092b47418bf1d25f",
 		},
 		{
 			// The engine selector is canonical since PR 4 ("" → "auto",
@@ -334,8 +337,8 @@ func TestGoldenHashes(t *testing.T) {
 			spec: Spec{Kind: KindMultidim, Seed: 1, Payload: &MultidimSpec{
 				Init: multidim.InitSpec{Kind: "random", N: 1000, D: 2, M: 8, Seed: 1},
 			}},
-			canonical: `{"engine":"auto","init":{"kind":"random","n":1000,"d":2,"m":8,"seed":1},"kind":"multidim","seed":1,"v":1}`,
-			hash:      "797893f2676833426266a1ddb6f522aa88cef559fe822f937e6a25456fbfbd00",
+			canonical: `{"engine":"auto","init":{"kind":"random","n":1000,"d":2,"m":8,"seed":1},"kind":"multidim","seed":1,"v":2}`,
+			hash:      "d25c5856ec1385c010b3ca658dc2c9e9d9bbc66554deea2cf34a859316802297",
 		},
 		{
 			// An explicit count-level engine is part of the cache key: a
@@ -346,8 +349,8 @@ func TestGoldenHashes(t *testing.T) {
 				Init:   multidim.InitSpec{Kind: "random", N: 100000, D: 2, M: 4, Seed: 1},
 				Engine: multidim.EngineCount,
 			}},
-			canonical: `{"engine":"count","init":{"kind":"random","n":100000,"d":2,"m":4,"seed":1},"kind":"multidim","seed":1,"v":1}`,
-			hash:      "4ecd26d739254389ba175ed0a7845cec92b76cdb5a96de92e151821a527400b0",
+			canonical: `{"engine":"count","init":{"kind":"random","n":100000,"d":2,"m":4,"seed":1},"kind":"multidim","seed":1,"v":2}`,
+			hash:      "e9a221fb5c50019b67bfce94d27218bdaf425833de8e258b7fd041a8ac1f9cf3",
 		},
 		{
 			// A billion-process count-path spec: the hash (and the seed
@@ -360,8 +363,8 @@ func TestGoldenHashes(t *testing.T) {
 				Init:      multidim.InitSpec{Kind: "random", N: 1_000_000_000, D: 2, M: 2, Seed: 3},
 				Adversary: &MultidimAdversarySpec{Name: "noise"},
 			}},
-			canonical: `{"adversary":{"name":"noise"},"engine":"auto","init":{"kind":"random","n":1000000000,"d":2,"m":2,"seed":3},"kind":"multidim","seed":1,"v":1}`,
-			hash:      "305d2bfd1a080c5b3e53350a4691b8dbe9ddb32a36967d4523aefd672ede75b9",
+			canonical: `{"adversary":{"name":"noise"},"engine":"auto","init":{"kind":"random","n":1000000000,"d":2,"m":2,"seed":3},"kind":"multidim","seed":1,"v":2}`,
+			hash:      "ac645ea312b6a23492ceedfc5ae250da03e1ff3243c9a9cf53270aedb7c40b92",
 		},
 		{
 			kind: KindRobust,
@@ -369,8 +372,8 @@ func TestGoldenHashes(t *testing.T) {
 				Init:     InitSpec{Kind: "twovalue", N: 1000},
 				LossProb: 0.1, Crashes: 10,
 			}},
-			canonical: `{"crashes":10,"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"robust","loss_prob":0.1,"mode":"responsive","seed":1,"v":1}`,
-			hash:      "9db86eacc226f41e76a2c96dcb00497ad720faae4186a06296ba0702fd667fc5",
+			canonical: `{"crashes":10,"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"robust","loss_prob":0.1,"mode":"responsive","seed":1,"v":2}`,
+			hash:      "76d355ff80bf69e6ef07b2448f90fef5035d9f6510f7aa8553150a0cff1feff5",
 		},
 		{
 			// The analytic kind: its result never depends on the seed, but
@@ -379,8 +382,8 @@ func TestGoldenHashes(t *testing.T) {
 			// two store entries with byte-identical results.
 			kind:      KindExact,
 			spec:      Spec{Kind: KindExact, Seed: 1, Payload: &ExactSpec{N: 64, Start: 16}},
-			canonical: `{"init":"point","kind":"exact","n":64,"seed":1,"start":16,"v":1}`,
-			hash:      "85315fbb4fc54b589411bc116dc107e2dfbda019b85ffcaeda7918d2cc6a72bf",
+			canonical: `{"init":"point","kind":"exact","n":64,"seed":1,"start":16,"v":2}`,
+			hash:      "cd11c041e837e70f108fd9ea51cac7a6fa34f4d111237bfcd301804f49d024b5",
 		},
 	}
 	for _, c := range cases {
@@ -707,16 +710,17 @@ func TestExecuteConverges(t *testing.T) {
 	}
 }
 
-// TestExecuteBadEngineCombination: an invalid engine/state pairing must
-// surface as an error, not a panic.
+// TestExecuteBadEngineCombination: a retired engine name must surface as
+// an error, not a panic — "twobin" is the count engine's transition round
+// now, on any number of values.
 func TestExecuteBadEngineCombination(t *testing.T) {
 	spec := medianSpec(1, MedianSpec{
-		Init:   InitSpec{Kind: "distinct", N: 100}, // 100 distinct values
+		Init:   InitSpec{Kind: "distinct", N: 100},
 		Rule:   RuleSpec{Name: "median"},
-		Engine: "twobin", // needs <= 2 values
+		Engine: "twobin",
 	})
 	if _, err := Execute(spec, nil, nil); err == nil {
-		t.Fatal("expected an error for twobin on 100 distinct values")
+		t.Fatal("expected an error for the retired twobin engine")
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,13 +27,31 @@ func copyFixture(t *testing.T, name string) string {
 }
 
 // TestSpecVersionMigration is the golden migration test for the spec
-// codec bump: testdata/store_specv0.golden is a store written before the
-// canonical encoding carried a "v" field (its record's spec decodes with
-// V == 0). A current binary must preserve that frame opaquely — never
-// load it, never serve it under a re-derived key, never destroy it — while
+// codec bumps. Each fixture is a store written by an older binary:
+//
+//   - testdata/store_specv0.golden predates the "v" field (its record's
+//     spec decodes with V == 0);
+//   - testdata/store_specv1.golden carries "v":1, written before version 2
+//     changed the median kind's fixed-seed realizations.
+//
+// A current binary must preserve each such frame opaquely — never load
+// it, never serve it under a re-derived key, never destroy it — while
 // appending and serving current-codec records alongside it.
 func TestSpecVersionMigration(t *testing.T) {
-	path := copyFixture(t, "store_specv0.golden")
+	for _, tc := range []struct {
+		fixture string
+		// oldHash is the fixture record's spec hash under its own codec.
+		oldHash string
+	}{
+		{"store_specv0.golden", "ea2ebade08e1135d6271f5f56cde869f7a8ebe539bc4fd01e651f3e9343bfc46"},
+		{"store_specv1.golden", "aeb02d6c4e71cc3c995b529cb5add4574dadca5de20f33372de9c40bfed5ef6a"},
+	} {
+		t.Run(tc.fixture, func(t *testing.T) { checkOldSpecPreserved(t, tc.fixture, tc.oldHash) })
+	}
+}
+
+func checkOldSpecPreserved(t *testing.T, fixture, oldHash string) {
+	path := copyFixture(t, fixture)
 
 	l, err := Open(path)
 	if err != nil {
@@ -87,13 +106,12 @@ func TestSpecVersionMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The v0 record's spec hash (under the old codec) must still be on
+	// The old record's spec hash (under its codec) must still be on
 	// disk, byte for byte, and must differ from every current-codec key.
-	const v0Hash = "ea2ebade08e1135d6271f5f56cde869f7a8ebe539bc4fd01e651f3e9343bfc46"
-	if !strings.Contains(string(data), v0Hash) {
+	if !strings.Contains(string(data), oldHash) {
 		t.Fatal("compaction destroyed the preserved old-spec frame")
 	}
-	if current.SpecHash == v0Hash {
+	if current.SpecHash == oldHash {
 		t.Fatal("codec bump did not change the cache key — migration test is vacuous")
 	}
 }
@@ -115,7 +133,7 @@ func TestDecodeRunSpecVersion(t *testing.T) {
 		t.Fatalf("current-version record must decode: %v", err)
 	}
 
-	old := strings.Replace(string(payload), `,"v":1`, "", 1)
+	old := strings.Replace(string(payload), fmt.Sprintf(`,"v":%d`, engine.SpecVersion), "", 1)
 	if old == string(payload) {
 		t.Fatal("fixture surgery failed: no v field found to strip")
 	}

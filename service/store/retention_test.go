@@ -1,12 +1,15 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/engine"
 )
 
 // frameSizes replays writeRuns' boundaries as per-frame sizes.
@@ -268,8 +271,9 @@ func TestOpenWithPolicyPreservesOpaqueInBudget(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Hand-append an unknown-kind frame (CRC-intact, not decodable here).
-	foreign := []byte(`{"spec_hash":"feedface","spec":{"kind":"from-the-future","seed":1,"v":1},"result":{}}`)
+	// Hand-append an unknown-kind frame under the current spec version
+	// (CRC-intact, not decodable here).
+	foreign := []byte(fmt.Sprintf(`{"spec_hash":"feedface","spec":{"kind":"from-the-future","seed":1,"v":%d},"result":{}}`, engine.SpecVersion))
 	fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
