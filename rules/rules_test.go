@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/model"
 )
 
 func TestMedianBasic(t *testing.T) {
@@ -259,7 +261,7 @@ func TestTransitionMatchesUpdate(t *testing.T) {
 	}
 	cdf[len(cdf)-1] = 1
 	for _, r := range []Rule{Median{}, Majority{}, Minimum{}, Maximum{}, Voter{}, NewKMedian(1), NewKMedian(2), NewKMedian(3)} {
-		tr, ok := r.(interface{ Transition(int, []float64, []float64) })
+		tr, ok := r.(model.TransitionRule)
 		if !ok {
 			t.Fatalf("%s has no Transition", r.Name())
 		}
@@ -304,7 +306,7 @@ func TestTransitionMatchesUpdate(t *testing.T) {
 // TestMeanHasNoTransition: the mean rule invents values, so it must not
 // claim a next-value law over the current values.
 func TestMeanHasNoTransition(t *testing.T) {
-	if _, ok := Rule(Mean{}).(interface{ Transition(int, []float64, []float64) }); ok {
+	if _, ok := Rule(Mean{}).(model.TransitionRule); ok {
 		t.Fatal("Mean must not implement Transition")
 	}
 }
