@@ -140,7 +140,7 @@ type Stats struct {
 type Network struct {
 	values  []Value
 	next    []Value
-	perms   [][]int32 // private numbering per process: perms[i][k] = global id
+	wiring  wiring // private numbering per process
 	rule    model.Rule
 	adv     model.Adversary
 	allowed []Value
@@ -171,7 +171,6 @@ func New(cfg assign.Config, rule model.Rule, adv model.Adversary, seed uint64, o
 	nw := &Network{
 		values:  cfg.Clone(),
 		next:    make([]Value, n),
-		perms:   make([][]int32, n),
 		rule:    rule,
 		adv:     adv,
 		opts:    opts,
@@ -180,20 +179,53 @@ func New(cfg assign.Config, rule model.Rule, adv model.Adversary, seed uint64, o
 		cap:     Capacity(n, opts.CapFactor),
 		reqFrom: make([][]int32, n),
 	}
-	// One n·n backing array holds every numbering. Each row is filled by
-	// the inside-out Fisher–Yates of rng.Perm, run directly on the row, so
-	// the Intn sequence (and thus the wiring) is exactly Perm's.
-	wiring := make([]int32, n*n)
-	for i := range nw.perms {
-		row := wiring[i*n : (i+1)*n : (i+1)*n]
+	nw.wiring = newWiring(n, g)
+	return nw
+}
+
+// wiring holds every process's private numbering row-major in one n·n
+// array: process i's k-th peer is ids[i·n+k]. Peer ids are 16 bits wide
+// while n ≤ 2^16 — the wiring is the kind's dominant allocation, n²
+// entries, so this halves it — and 32 bits beyond.
+type wiring struct {
+	n     int
+	ids16 []uint16
+	ids32 []int32
+}
+
+// newWiring draws the n private numberings. Each row is a uniform
+// permutation from the inside-out Fisher–Yates of rng.Perm, run directly
+// on the row, so the Intn sequence — and thus the wiring — is exactly
+// that of n successive Perm(n) calls.
+func newWiring(n int, g *rng.Xoshiro256) wiring {
+	w := wiring{n: n}
+	if n <= 1<<16 {
+		w.ids16 = make([]uint16, n*n)
+		fillPerms(w.ids16, n, g)
+	} else {
+		w.ids32 = make([]int32, n*n)
+		fillPerms(w.ids32, n, g)
+	}
+	return w
+}
+
+func fillPerms[T uint16 | int32](ids []T, n int, g *rng.Xoshiro256) {
+	for i := 0; i < n; i++ {
+		row := ids[i*n : (i+1)*n]
 		for k := 1; k < n; k++ {
 			j := g.Intn(k + 1)
 			row[k] = row[j]
-			row[j] = int32(k)
+			row[j] = T(k)
 		}
-		nw.perms[i] = row
 	}
-	return nw
+}
+
+// peer returns process i's k-th peer.
+func (w *wiring) peer(i, k int) int32 {
+	if w.ids16 != nil {
+		return int32(w.ids16[i*w.n+k])
+	}
+	return w.ids32[i*w.n+k]
 }
 
 // Capacity is the per-round incoming-request capacity of each process in
@@ -253,7 +285,7 @@ func (nw *Network) Step() {
 			// A uniform index into the private numbering is a uniform
 			// peer; index n-? : perm has length n including self at some
 			// position, so self-sampling occurs naturally.
-			t := nw.perms[i][nw.g.Intn(n)]
+			t := nw.wiring.peer(i, nw.g.Intn(n))
 			targets[i*s+k] = t
 			nw.reqFrom[t] = append(nw.reqFrom[t], int32(i))
 		}

@@ -199,11 +199,12 @@ func TestNetworkPanics(t *testing.T) {
 func TestPrivateNumberingsArePermutations(t *testing.T) {
 	cfg := assign.AllDistinct(50)
 	nw := New(cfg, rules.Median{}, nil, 21, Options{})
-	for i, perm := range nw.perms {
+	for i := 0; i < 50; i++ {
 		seen := make([]bool, 50)
-		for _, v := range perm {
+		for k := 0; k < 50; k++ {
+			v := nw.wiring.peer(i, k)
 			if v < 0 || int(v) >= 50 || seen[v] {
-				t.Fatalf("process %d: invalid numbering %v", i, perm)
+				t.Fatalf("process %d: invalid numbering at %d: %d", i, k, v)
 			}
 			seen[v] = true
 		}
