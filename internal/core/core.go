@@ -533,11 +533,11 @@ func (e *CountEngine) badTotal(total int64) {
 // stepTransition is the exact O(k²) round of a model.TransitionRule. The
 // balls of own-bin i move to the k live values as one multinomial draw
 // over the rule's next-value law G (out): conditional binomials
-// Binomial(remaining, (G_j−G_{j−1})/(1−G_{j−1})) over ascending j, G₀
-// itself at j = 0, stopping once no ball remains, the last value taking
-// the remainder. Own-bins are visited in ascending order, so on two
-// values the median rule makes exactly the Section 3 draws
-// Bin(L, 1−(1−p)²) then Bin(n−L, p²).
+// Binomial(remaining, (G_j−G_{j−1})/(1−G_{j−1})) over ascending j —
+// exactly G₀ at j = 0, where G_{−1} = 0 — stopping once no ball remains,
+// the last value taking the remainder. Own-bins are visited in ascending
+// order, so on two values the median rule makes exactly the Section 3
+// draws Bin(L, 1−(1−p)²) then Bin(n−L, p²).
 //
 //consensus:hotpath
 func (e *CountEngine) stepTransition() {
@@ -560,16 +560,12 @@ func (e *CountEngine) stepTransition() {
 	for own, c := range e.counts {
 		e.trans.Transition(own, cdf, out)
 		remaining := c
-		prev := 0.0
+		prev := 0.0 // G_{j−1}
 		for j := 0; j < k-1 && remaining > 0; j++ {
-			p := out[j]
-			if j > 0 {
-				p = 1
-				if prev < 1 {
-					p = (out[j] - prev) / (1 - prev)
-				}
+			p := 1.0 // no mass left above G_{j−1}: every remaining ball lands here
+			if prev < 1 {
+				p = min(max((out[j]-prev)/(1-prev), 0), 1)
 			}
-			p = min(max(p, 0), 1)
 			x := randx.Binomial(e.g, remaining, p)
 			next[j] += x
 			remaining -= x
