@@ -211,6 +211,29 @@ func TestPrivateNumberingsArePermutations(t *testing.T) {
 	}
 }
 
+// TestWiringIsPermSequence: both wiring widths hold exactly the rows n
+// successive rng.Perm(n) calls would draw from the same stream, so the
+// wiring (and every realization built on it) does not depend on the
+// storage layout.
+func TestWiringIsPermSequence(t *testing.T) {
+	const n, seed = 37, 9
+	ref := rng.NewXoshiro256(seed)
+	want := make([]int, 0, n*n)
+	for i := 0; i < n; i++ {
+		want = append(want, ref.Perm(n)...)
+	}
+	ids16 := make([]uint16, n*n)
+	fillPerms(ids16, n, rng.NewXoshiro256(seed))
+	ids32 := make([]int32, n*n)
+	fillPerms(ids32, n, rng.NewXoshiro256(seed))
+	w := newWiring(n, rng.NewXoshiro256(seed))
+	for x, v := range want {
+		if int(ids16[x]) != v || int(ids32[x]) != v || int(w.peer(x/n, x%n)) != v {
+			t.Fatalf("entry %d: uint16 %d, int32 %d, wiring %d; Perm %d", x, ids16[x], ids32[x], w.peer(x/n, x%n), v)
+		}
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	cfg := assign.AllDistinct(64)
 	nw := New(cfg, rules.Median{}, nil, 5, Options{})
