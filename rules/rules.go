@@ -113,7 +113,8 @@ func (Majority) Update(own Value, sampled []Value) Value {
 // both samples hold it (probability p_x², p_x the fraction holding x) and
 // keeps its own value otherwise.
 func (Majority) Transition(own int, cdf, out []float64) {
-	var agree, prev float64 // P(both samples hold the same value)
+	var agree float64 // P(both samples hold the same value)
+	var prev float64
 	for _, f := range cdf {
 		agree += (f - prev) * (f - prev)
 		prev = f
