@@ -58,7 +58,9 @@ type TransitionRule interface {
 	// vals[own]: out[j] = P(new ≤ vals[j]), given cdf[j], the fraction of
 	// balls holding a value ≤ vals[j]. The live values vals are strictly
 	// increasing, cdf and out have one entry per value, and cdf ends at 1.
-	// The next value must be one of vals, so out ends at 1 too.
+	// The next value must be one of vals, so out ends at 1 too. The law
+	// must be Update's own: a rule that embeds another and changes Update
+	// must not inherit its Transition.
 	Transition(own int, cdf, out []float64)
 }
 
