@@ -107,15 +107,14 @@ func meanStd(xs []int) (mean, sd float64) {
 func TestDifferentialAbsorptionTime(t *testing.T) {
 	want := exact.NewChain(timeN).AbsorptionTimes()[timeStart]
 	for _, run := range twoValueRuns {
-		engineName := run.label
 		rounds, _ := simTrials(t, run.rule, timeN, timeStart, timeTrials)
 		mean, sd := meanStd(rounds)
 		band := sigmas*sd/math.Sqrt(float64(len(rounds))) + 0.05
 		t.Logf("%s: mean %0.4f ± %0.4f vs exact %0.4f over %d trials",
-			engineName, mean, band, want, len(rounds))
+			run.label, mean, band, want, len(rounds))
 		if math.Abs(mean-want) > band {
 			t.Errorf("%s mean absorption time %0.4f outside exact %0.4f ± %0.4f",
-				engineName, mean, want, band)
+				run.label, mean, want, band)
 		}
 	}
 }
@@ -127,15 +126,14 @@ func TestDifferentialAbsorptionTime(t *testing.T) {
 func TestDifferentialWinProbability(t *testing.T) {
 	want := exact.NewChain(winN).WinProbabilities()[winStart]
 	for _, run := range twoValueRuns {
-		engineName := run.label
 		_, wins := simTrials(t, run.rule, winN, winStart, winTrials)
 		got := float64(wins) / winTrials
 		band := sigmas*math.Sqrt(want*(1-want)/winTrials) + 0.01
 		t.Logf("%s: win rate %0.4f ± %0.4f vs exact %0.4f over %d trials",
-			engineName, got, band, want, winTrials)
+			run.label, got, band, want, winTrials)
 		if math.Abs(got-want) > band {
 			t.Errorf("%s win rate %0.4f outside exact %0.4f ± %0.4f",
-				engineName, got, want, band)
+				run.label, got, want, band)
 		}
 	}
 }
@@ -150,7 +148,6 @@ func TestDifferentialAbsorptionCDF(t *testing.T) {
 	maxRounds := 200
 	cdf := c.AbsorptionCDF(timeStart, maxRounds)
 	for _, run := range twoValueRuns {
-		engineName := run.label
 		rounds, _ := simTrials(t, run.rule, timeN, timeStart, timeTrials)
 		sort.Ints(rounds)
 		for _, probe := range []int{4, 7, 10, 15, 25} {
@@ -160,7 +157,7 @@ func TestDifferentialAbsorptionCDF(t *testing.T) {
 			band := sigmas*math.Sqrt(want*(1-want)/float64(len(rounds))) + 0.01
 			if math.Abs(got-want) > band {
 				t.Errorf("%s CDF at round %d: empirical %0.4f outside exact %0.4f ± %0.4f",
-					engineName, probe, got, want, band)
+					run.label, probe, got, want, band)
 			}
 		}
 	}

@@ -387,8 +387,9 @@ func TestStreamFollowsLiveRun(t *testing.T) {
 	// voter on a ball engine converges in Θ(n) rounds — slow enough that
 	// the stream attaches while the run is live.
 	spec := service.Spec{Seed: 3, MaxRounds: 1 << 20, Payload: &service.MedianSpec{
-		Init: service.InitSpec{Kind: "twovalue", N: 500},
-		Rule: service.RuleSpec{Name: "voter"},
+		Init:   service.InitSpec{Kind: "twovalue", N: 500},
+		Rule:   service.RuleSpec{Name: "voter"},
+		Engine: "ball",
 	}}
 	view, err := c.Submit(ctx, spec)
 	if err != nil {

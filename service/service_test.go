@@ -95,11 +95,7 @@ func TestCacheHitDeterminism(t *testing.T) {
 func TestCancelRunning(t *testing.T) {
 	s := newTestService(t, Options{Workers: 1})
 	defer s.Close()
-	// A voter run large enough to take a while under MaxRounds pressure.
-	spec := Spec{Seed: 2, MaxRounds: 1 << 20, Payload: &MedianSpec{
-		Init: InitSpec{Kind: "twovalue", N: 4000},
-		Rule: RuleSpec{Name: "voter"},
-	}}
+	spec := slowRun(2)
 	view, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -272,14 +268,23 @@ func TestCacheHitNewKinds(t *testing.T) {
 	}
 }
 
+// slowRun is a median-kind spec that holds a worker for a while: the
+// voter rule needs Θ(n) rounds, and the pinned per-ball engine makes each
+// round Θ(n) work (auto would pick the count engine, whose O(k²) rounds
+// finish the run in milliseconds).
+func slowRun(seed uint64) Spec {
+	return Spec{Seed: seed, MaxRounds: 1 << 20, Payload: &MedianSpec{
+		Init:   InitSpec{Kind: "twovalue", N: 4000},
+		Rule:   RuleSpec{Name: "voter"},
+		Engine: "ball",
+	}}
+}
+
 // TestCancelQueued cancels a job before a worker picks it up.
 func TestCancelQueued(t *testing.T) {
 	s := newTestService(t, Options{Workers: 1})
 	defer s.Close()
-	blocker := Spec{Seed: 4, MaxRounds: 1 << 20, Payload: &MedianSpec{
-		Init: InitSpec{Kind: "twovalue", N: 4000},
-		Rule: RuleSpec{Name: "voter"},
-	}}
+	blocker := slowRun(4)
 	b, err := s.Submit(blocker)
 	if err != nil {
 		t.Fatal(err)
@@ -307,18 +312,12 @@ func TestCancelQueued(t *testing.T) {
 // TestCloseCancelsQueued: Close must not run the backlog to completion.
 func TestCloseCancelsQueued(t *testing.T) {
 	s := newTestService(t, Options{Workers: 1})
-	blocker := Spec{Seed: 6, MaxRounds: 1 << 20, Payload: &MedianSpec{
-		Init: InitSpec{Kind: "twovalue", N: 4000},
-		Rule: RuleSpec{Name: "voter"},
-	}}
+	blocker := slowRun(6)
 	b, err := s.Submit(blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := s.Submit(Spec{Seed: 7, MaxRounds: 1 << 20, Payload: &MedianSpec{
-		Init: InitSpec{Kind: "twovalue", N: 4000},
-		Rule: RuleSpec{Name: "voter"},
-	}})
+	queued, err := s.Submit(slowRun(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,10 +380,7 @@ func TestJobEviction(t *testing.T) {
 func TestCoalesceInFlight(t *testing.T) {
 	s := newTestService(t, Options{Workers: 1})
 	defer s.Close()
-	spec := Spec{Seed: 8, MaxRounds: 1 << 20, Payload: &MedianSpec{
-		Init: InitSpec{Kind: "twovalue", N: 4000},
-		Rule: RuleSpec{Name: "voter"},
-	}}
+	spec := slowRun(8)
 	first, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
