@@ -303,14 +303,6 @@ func TestTransitionMatchesUpdate(t *testing.T) {
 	}
 }
 
-// TestMeanHasNoTransition: the mean rule invents values, so it must not
-// claim a next-value law over the current values.
-func TestMeanHasNoTransition(t *testing.T) {
-	if _, ok := Rule(Mean{}).(model.TransitionRule); ok {
-		t.Fatal("Mean must not implement Transition")
-	}
-}
-
 func TestBinomialCDF(t *testing.T) {
 	for _, c := range []struct {
 		m, x int
