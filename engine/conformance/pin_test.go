@@ -132,3 +132,45 @@ func TestEngineChoicePinned(t *testing.T) {
 		})
 	}
 }
+
+// TestAdversaryValueContractIsEngineFree: whether a spec's adversary may
+// write a value does not depend on the engine that runs it. Under the
+// median rule a hider pinned to a value outside the init's {1, 2} fails
+// on every engine, one pinned to 2 runs on every engine; under the mean
+// rule, whose own values leave the initial set, a noise adversary runs on
+// every engine (auto sends the n = 10⁵ spec to the count engine).
+func TestAdversaryValueContractIsEngineFree(t *testing.T) {
+	cases := []struct {
+		name, spec, err string
+	}{
+		{"median/hider/foreign", `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":1000},"adversary":{"name":"hider","budget":{"kind":"fixed","factor":5},"params":{"held":5}},"seed":3,"max_rounds":30}`, "wrote value 5"},
+		{"median/hider/initial", `{"rule":{"name":"median"},"init":{"kind":"twovalue","n":1000},"adversary":{"name":"hider","budget":{"kind":"fixed","factor":5},"params":{"held":2}},"seed":3,"max_rounds":30}`, ""},
+		{"mean/noise/small", `{"rule":{"name":"mean"},"init":{"kind":"twovalue","n":1000,"low":1,"high":3},"adversary":{"name":"random-noise","budget":{"kind":"fixed","factor":5}},"seed":3,"max_rounds":30}`, ""},
+		{"mean/noise/n=1e5", `{"rule":{"name":"mean"},"init":{"kind":"twovalue","n":100000,"low":0,"high":1000},"adversary":{"name":"random-noise","budget":{"kind":"sqrt","factor":1}},"seed":3,"max_rounds":10}`, ""},
+	}
+	for _, c := range cases {
+		for _, eng := range []string{"auto", "count", "ball"} {
+			t.Run(c.name+"/"+eng, func(t *testing.T) {
+				spec := c.spec
+				if eng != "auto" {
+					spec = strings.Replace(spec, `"seed"`, `"engine":"`+eng+`","seed"`, 1)
+				}
+				var s engine.Spec
+				if err := json.Unmarshal([]byte(spec), &s); err != nil {
+					t.Fatal(err)
+				}
+				s = s.Normalize()
+				if err := s.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				_, err := engine.Execute(s, nil, nil)
+				if c.err == "" && err != nil {
+					t.Fatal(err)
+				}
+				if c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
+					t.Fatalf("Execute() = %v, want an error containing %q", err, c.err)
+				}
+			})
+		}
+	}
+}

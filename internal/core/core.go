@@ -184,6 +184,8 @@ type BallEngine struct {
 	state, next []Value
 	allowed     []Value
 	rule        model.Rule
+	closed      bool    // rule has a Transition law: it never creates a value
+	pre         []Value // state before the adversary's writes (see keep)
 	adv         model.Adversary
 	opts        Options
 	g           *rng.Xoshiro256   // adversary + sequential sampling stream
@@ -205,10 +207,12 @@ func NewBallEngine(cfg assign.Config, rule model.Rule, adv model.Adversary, seed
 	if rule == nil {
 		panic("core: nil rule")
 	}
+	_, closed := rule.(model.TransitionRule)
 	e := &BallEngine{
 		state:   cfg.Clone(),
 		next:    make([]Value, len(cfg)),
 		rule:    rule,
+		closed:  closed,
 		adv:     adv,
 		opts:    opts,
 		g:       rng.NewXoshiro256(seed),
@@ -241,7 +245,9 @@ func (e *BallEngine) Step() {
 	n := len(e.state)
 	if e.adv != nil && e.opts.Timing == BeforeRound {
 		if ba, ok := e.adv.(model.BallAdversary); ok {
+			e.keep(e.state)
 			ba.CorruptBalls(e.round, e.state, e.allowed, e.g)
+			e.checkWrites(e.state)
 		}
 	}
 	dst := e.next
@@ -255,13 +261,56 @@ func (e *BallEngine) Step() {
 	}
 	if e.adv != nil && e.opts.Timing == AfterChoices {
 		if pa, ok := e.adv.(model.PostRoundAdversary); ok {
+			e.keep(dst)
 			pa.CorruptAfter(e.round, dst, e.allowed, e.g)
+			e.checkWrites(dst)
 		}
 	}
 	if !e.opts.InPlace {
 		e.state, e.next = e.next, e.state
 	}
 	e.round++
+}
+
+// keep copies the state the adversary is about to corrupt into pre, under
+// a rule with a Transition law, so that checkWrites sees what it changed.
+func (e *BallEngine) keep(state []Value) {
+	if e.closed {
+		e.pre = append(e.pre[:0], state...)
+	}
+}
+
+// checkWrites applies checkWrite to every ball the adversary changed
+// since keep, under a rule with a Transition law.
+//
+//consensus:hotpath
+func (e *BallEngine) checkWrites(state []Value) {
+	if !e.closed {
+		return
+	}
+	for i, v := range state {
+		if v != e.pre[i] {
+			checkWrite(e.adv, e.allowed, v)
+		}
+	}
+}
+
+// checkWrite enforces the paper's constraint that the adversary writes
+// only initial values (allowed, sorted), for both engines alike. It is
+// applied only under a rule with a Transition law: such a rule moves
+// every ball to a live value, so a value outside the initial set can only
+// have come from the adversary. A rule without one (mean) creates values
+// itself, which the check could not tell apart from the adversary's.
+//
+//consensus:hotpath
+func checkWrite(adv model.Adversary, allowed []Value, v Value) {
+	if _, ok := slices.BinarySearch(allowed, v); !ok {
+		badWrite(adv, v)
+	}
+}
+
+func badWrite(adv model.Adversary, v Value) {
+	panic(fmt.Sprintf("core: adversary %s wrote value %d, which is not an initial value", adv.Name(), v))
 }
 
 // stepRange computes next values for balls [lo, hi) using stream g.
@@ -499,8 +548,9 @@ func (e *CountEngine) Step() {
 }
 
 // corrupt hands the distribution to a count-level adversary, checks the
-// paper's constraints on what it returns — the ball count is unchanged and
-// every occupied value is an initial value — and drops emptied bins.
+// paper's constraints on what it returns — the ball count is unchanged
+// and, under a rule with a Transition law, every occupied value is an
+// initial value (see checkWrite) — and drops emptied bins.
 //
 //consensus:hotpath
 func (e *CountEngine) corrupt() {
@@ -511,8 +561,11 @@ func (e *CountEngine) corrupt() {
 	e.vals, e.counts = ca.CorruptCounts(e.round, e.vals, e.counts, e.allowed, e.g)
 	var total int64
 	for i, c := range e.counts {
-		if _, allowed := slices.BinarySearch(e.allowed, e.vals[i]); c < 0 || (c > 0 && !allowed) {
+		if c < 0 {
 			e.badBin(e.vals[i], c)
+		}
+		if c > 0 && e.trans != nil {
+			checkWrite(e.adv, e.allowed, e.vals[i])
 		}
 		total += c
 	}
@@ -523,7 +576,7 @@ func (e *CountEngine) corrupt() {
 }
 
 func (e *CountEngine) badBin(v Value, c int64) {
-	panic(fmt.Sprintf("core: adversary %s left %d balls at value %d (allowed: the initial values)", e.adv.Name(), c, v))
+	panic(fmt.Sprintf("core: adversary %s left %d balls at value %d", e.adv.Name(), c, v))
 }
 
 func (e *CountEngine) badTotal(total int64) {

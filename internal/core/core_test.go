@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -442,6 +443,56 @@ func TestCountEngineRejectsBallCountChange(t *testing.T) {
 		}
 	}()
 	e.Step()
+}
+
+// TestBallEngineRejectsForeignValues: under a rule with a Transition law
+// the ball engine holds the adversary to the initial values exactly as
+// the count engine does, at both timings.
+func TestBallEngineRejectsForeignValues(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		adv    model.Adversary
+		timing Timing
+	}{
+		{"before-round", adversary.NewHider(adversary.Fixed(5), 99), BeforeRound},
+		{"after-choices", adversary.NewBalancer(adversary.Fixed(5), 2, 99), AfterChoices},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewBallEngine(assign.TwoValue(100, 50, 1, 2), rules.Median{}, c.adv, 1, Options{Timing: c.timing})
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "value 99") {
+					t.Fatalf("recovered %v, want a panic naming value 99", r)
+				}
+			}()
+			e.Step()
+		})
+	}
+}
+
+// TestMeanRuleValuesAreNotAdversaryWrites: the mean rule creates values
+// outside the initial set (mean(1,1,3) = 2), so neither engine may read
+// them as adversary writes. The adversary writes only 1 and 3 here.
+func TestMeanRuleValuesAreNotAdversaryWrites(t *testing.T) {
+	noise := func() model.Adversary { return adversary.NewRandomNoise(adversary.Fixed(3)) }
+	ce := NewCountEngineDist(assign.Dist{Vals: []Value{1, 3}, Counts: []int64{50, 50}}, rules.Mean{}, noise(), 4, Options{})
+	be := NewBallEngine(assign.TwoValue(100, 50, 1, 3), rules.Mean{}, noise(), 4, Options{})
+	sawTwo := false
+	for r := 0; r < 20; r++ {
+		ce.Step()
+		be.Step()
+		vals, counts := ce.Dist()
+		var n int64
+		for i, c := range counts {
+			n += c
+			sawTwo = sawTwo || vals[i] == 2
+		}
+		if n != 100 {
+			t.Fatalf("round %d: count engine holds %d balls, want 100", r, n)
+		}
+	}
+	if !sawTwo {
+		t.Fatal("the mean rule never produced 2; test vacuous")
+	}
 }
 
 // Reviver vs minimum rule: the paper's introduction attack. The minimum
