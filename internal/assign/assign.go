@@ -23,7 +23,8 @@ import (
 )
 
 // Value is a process value ("bin"). The paper restricts values to the
-// initial value set; engines enforce that for adversarial writes.
+// initial value set; engines enforce that for adversarial writes under
+// rules that never create a value (model.TransitionRule).
 type Value = int64
 
 // Config is a per-ball assignment of values. Index = ball, entry = value.
