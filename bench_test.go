@@ -397,6 +397,20 @@ func BenchmarkGossipConformance(b *testing.B) {
 	})
 }
 
+// BenchmarkGossipRound is the gossip kind's layer probe: one Step of the
+// message network at n = 2000 (the sweep's gossip cell), two-value start,
+// default capacity. A round draws 2n request targets, groups them by
+// target and answers them from network-owned scratch, so it allocates
+// nothing; the CI bench job gates its 0 allocs/op.
+func BenchmarkGossipRound(b *testing.B) {
+	nw := gossip.New(assign.TwoValue(2000, 1000, 1, 2), rules.Median{}, nil, 1, gossip.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw.Step()
+	}
+}
+
 // --- E13: Lemma 17 — fineness coupling under shared randomness ------------
 
 func BenchmarkLemma17Coupling(b *testing.B) {
@@ -624,11 +638,13 @@ func BenchmarkMultidimEngines(b *testing.B) {
 
 // --- E19: exact-chain validation benches -----------------------------------
 
+// BenchmarkExactChain is the exact kind's init: build the n = 200 chain
+// (the sweep's exact cell) and solve absorption times and win
+// probabilities in one elimination.
 func BenchmarkExactChain(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c := exact.NewChain(120)
-		_ = c.AbsorptionTimes()
-		_ = c.WinProbabilities()
+		_, _ = exact.NewChain(200).Solve()
 	}
 }
 

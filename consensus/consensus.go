@@ -36,7 +36,7 @@
 // EngineAuto picks the fastest engine that supports the requested
 // configuration, and picks the same one whether or not the run is
 // observed. The full message-passing simulation of the paper's
-// network model (private peer numberings, per-round request caps,
+// network model (uniform peer requests, per-round request caps,
 // adversarially selected drops) is the "gossip" spec kind, run through
 // engine.Execute.
 package consensus

@@ -8,6 +8,7 @@ import (
 	"repro/consensus"
 	"repro/engine"
 	"repro/internal/exact"
+	"repro/internal/gossip"
 	"repro/multidim"
 	"repro/rules"
 )
@@ -26,11 +27,27 @@ func init() {
 	})
 }
 
-// twoValueRuns are the count-engine configurations held to the exact
-// chain: the median rule's transition round and the per-ball alias loop.
-var twoValueRuns = []struct{ label, rule string }{
-	{"count", "median"},
-	{"count/sampled", sampledMedianName},
+// twoValueRun is one simulation configuration held to the exact chain.
+type twoValueRun struct {
+	label string
+	kind  string  // "median" (count engine) or "gossip"
+	rule  string  // the update rule
+	cap   float64 // gossip cap_factor: 0 = default, negative = unlimited
+}
+
+// twoValueRuns are the configurations held to the exact chain: the count
+// engine's transition round and per-ball alias loop, and the gossip
+// network with unlimited and with default request capacity. A gossip
+// process draws its samples as uniform request targets, so with every
+// request answered a run is a sample of the chain; at the default cap
+// ⌈4·log₂ n⌉ (24 at n = 60) no request of these fixtures is dropped, so
+// that row shares the unlimited row's realization and pins that the
+// default cap stays out of the dynamics.
+var twoValueRuns = []twoValueRun{
+	{label: "count", kind: "median", rule: "median"},
+	{label: "count/sampled", kind: "median", rule: sampledMedianName},
+	{label: "gossip/unlimited", kind: "gossip", rule: "median", cap: -1},
+	{label: "gossip/default-cap", kind: "gossip", rule: "median"},
 }
 
 // The absorption-time fixture: n and the low-bin start count of the
@@ -55,15 +72,20 @@ const (
 // re-rolls of the seed list, and never by re-running the same seeds.
 const sigmas = 5
 
-// simTrials runs `trials` fixed-seed runs of the count engine under the
-// named rule over the twovalue init and returns each run's
-// rounds-to-consensus plus the number of runs the low value won.
-func simTrials(t *testing.T, rule string, n, nLow, trials int) (rounds []int, lowWins int) {
+// simTrials runs `trials` fixed-seed runs of one configuration over the
+// twovalue init and returns each run's rounds-to-consensus plus the
+// number of runs the low value won.
+func simTrials(t *testing.T, run twoValueRun, n, nLow, trials int) (rounds []int, lowWins int) {
 	t.Helper()
 	init := consensus.InitSpec{Kind: "twovalue", N: n, NLow: nLow}
 	rounds = make([]int, 0, trials)
 	for seed := 1; seed <= trials; seed++ {
-		res := execute(t, "count", rules.Ref{Name: rule}, init, uint64(seed))
+		var res engine.Result
+		if run.kind == "gossip" {
+			res = executeGossip(t, rules.Ref{Name: run.rule}, init, run.cap, uint64(seed))
+		} else {
+			res = execute(t, "count", rules.Ref{Name: run.rule}, init, uint64(seed))
+		}
 		rounds = append(rounds, res.Rounds)
 		if res.Winner == exact.ValueLeft {
 			lowWins++
@@ -82,6 +104,20 @@ func execute(t *testing.T, engineName string, rule rules.Ref, init consensus.Ini
 	}, nil, nil)
 	if err != nil {
 		t.Fatalf("%s/%s seed %d: %v", engineName, rule.Name, seed, err)
+	}
+	return res
+}
+
+// executeGossip runs one gossip-kind spec through engine.Execute.
+func executeGossip(t *testing.T, rule rules.Ref, init consensus.InitSpec, capFactor float64, seed uint64) engine.Result {
+	t.Helper()
+	res, err := engine.Execute(engine.Spec{
+		Kind:    "gossip",
+		Seed:    seed,
+		Payload: &gossip.Spec{Init: init, Rule: rule, CapFactor: capFactor},
+	}, nil, nil)
+	if err != nil {
+		t.Fatalf("gossip/%s cap %v seed %d: %v", rule.Name, capFactor, seed, err)
 	}
 	return res
 }
@@ -107,7 +143,7 @@ func meanStd(xs []int) (mean, sd float64) {
 func TestDifferentialAbsorptionTime(t *testing.T) {
 	want := exact.NewChain(timeN).AbsorptionTimes()[timeStart]
 	for _, run := range twoValueRuns {
-		rounds, _ := simTrials(t, run.rule, timeN, timeStart, timeTrials)
+		rounds, _ := simTrials(t, run, timeN, timeStart, timeTrials)
 		mean, sd := meanStd(rounds)
 		band := sigmas*sd/math.Sqrt(float64(len(rounds))) + 0.05
 		t.Logf("%s: mean %0.4f ± %0.4f vs exact %0.4f over %d trials",
@@ -126,7 +162,7 @@ func TestDifferentialAbsorptionTime(t *testing.T) {
 func TestDifferentialWinProbability(t *testing.T) {
 	want := exact.NewChain(winN).WinProbabilities()[winStart]
 	for _, run := range twoValueRuns {
-		_, wins := simTrials(t, run.rule, winN, winStart, winTrials)
+		_, wins := simTrials(t, run, winN, winStart, winTrials)
 		got := float64(wins) / winTrials
 		band := sigmas*math.Sqrt(want*(1-want)/winTrials) + 0.01
 		t.Logf("%s: win rate %0.4f ± %0.4f vs exact %0.4f over %d trials",
@@ -148,7 +184,7 @@ func TestDifferentialAbsorptionCDF(t *testing.T) {
 	maxRounds := 200
 	cdf := c.AbsorptionCDF(timeStart, maxRounds)
 	for _, run := range twoValueRuns {
-		rounds, _ := simTrials(t, run.rule, timeN, timeStart, timeTrials)
+		rounds, _ := simTrials(t, run, timeN, timeStart, timeTrials)
 		sort.Ints(rounds)
 		for _, probe := range []int{4, 7, 10, 15, 25} {
 			want := cdf[probe]

@@ -8,10 +8,11 @@
 // process — a run of the median kind over a twovalue init IS a sample of
 // the chain, so its rounds-to-consensus is a draw of the chain's
 // absorption time and its winner a Bernoulli draw of the chain's win
-// probability. The suite runs fixed-seed trial batches of the count
-// engine through engine.Execute in both of its round modes — the exact
+// probability. The suite runs fixed-seed trial batches through
+// engine.Execute: the count engine in both of its round modes — the exact
 // transition round (median) and the per-ball alias loop (a test-only
-// median rule without a transition law) — and requires:
+// median rule without a transition law) — and the gossip kind's message
+// network with unlimited and with default request capacity. It requires:
 //
 //   - the mean absorption time within a 5σ band of the exact expectation,
 //   - the win rate within a 5σ band of the exact win probability,

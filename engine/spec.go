@@ -32,7 +32,12 @@ import (
 //	   observed, and the "twobin" engine name is gone. Fixed-seed results
 //	   of median specs that now land on another engine or round mode
 //	   changed, so v1 results are not served under v2 keys.
-const SpecVersion = 2
+//	3: same encoding, new realizations. The gossip kind draws each
+//	   request's target directly instead of through a materialized n·n
+//	   private numbering (the same distribution at O(n) memory), so
+//	   fixed-seed gossip results changed and v2 results are not served
+//	   under v3 keys.
+const SpecVersion = 3
 
 // ErrSpecVersion marks a spec whose "v" field names a canonical-encoding
 // version this binary does not speak. Persistence layers match it with

@@ -45,22 +45,38 @@ func BinomialPMF(n int, p float64) []float64 {
 		panic(fmt.Sprintf("exact: p = %v outside [0,1]", p))
 	}
 	pmf := make([]float64, n+1)
+	binomialInto(pmf, p, logFactorials(n))
+	return pmf
+}
+
+// logFactorials returns lf[x] = ln x! = Lgamma(x+1) for x = 0..n: one
+// table serves every binomial PMF of a chain instead of three Lgamma
+// calls per PMF entry.
+func logFactorials(n int) []float64 {
+	lf := make([]float64, n+1)
+	for x := range lf {
+		lf[x], _ = math.Lgamma(float64(x + 1))
+	}
+	return lf
+}
+
+// binomialInto writes the PMF of Bin(len(pmf)−1, p) into pmf, reading
+// log-factorials from lf (len(lf) ≥ len(pmf)).
+func binomialInto(pmf []float64, p float64, lf []float64) {
+	n := len(pmf) - 1
+	clear(pmf)
 	switch {
 	case p == 0:
 		pmf[0] = 1
-		return pmf
+		return
 	case p == 1:
 		pmf[n] = 1
-		return pmf
+		return
 	}
 	logP, logQ := math.Log(p), math.Log1p(-p)
-	lgN, _ := math.Lgamma(float64(n + 1))
 	for k := 0; k <= n; k++ {
-		lgK, _ := math.Lgamma(float64(k + 1))
-		lgNK, _ := math.Lgamma(float64(n - k + 1))
-		pmf[k] = math.Exp(lgN - lgK - lgNK + float64(k)*logP + float64(n-k)*logQ)
+		pmf[k] = math.Exp(lf[n] - lf[k] - lf[n-k] + float64(k)*logP + float64(n-k)*logQ)
 	}
-	return pmf
 }
 
 // Convolve returns the distribution of X+Y for independent X ~ a, Y ~ b
@@ -105,10 +121,13 @@ func NewChain(n int) *Chain {
 		panic("exact: n must be >= 1")
 	}
 	P := make([][]float64, n+1)
+	lf := logFactorials(n)
+	scratch := make([]float64, n+2)
 	for i := 0; i <= n; i++ {
 		p := float64(i) / float64(n)
-		stay := BinomialPMF(i, StayProb(p))
-		defect := BinomialPMF(n-i, DefectProb(p))
+		stay, defect := scratch[:i+1], scratch[i+1:]
+		binomialInto(stay, StayProb(p), lf)
+		binomialInto(defect, DefectProb(p), lf)
 		row := Convolve(stay, defect) // length n+1
 		var sum float64
 		for _, v := range row {
@@ -159,42 +178,48 @@ func (c *Chain) StepInto(dist, out []float64) {
 	}
 }
 
-// AbsorptionTimes returns t[i] = E[rounds until absorption | L_0 = i],
-// the exact expected convergence time of the two-bin median rule. It
-// solves (I − Q)t = 1 over the transient states by Gaussian elimination
-// with partial pivoting.
-func (c *Chain) AbsorptionTimes() []float64 {
+// Solve returns the chain's two absorption statistics from one
+// elimination of (I − Q) over the transient states against both
+// right-hand sides:
+//
+//   - times[i] = E[rounds until absorption | L_0 = i], the exact expected
+//     convergence time of the two-bin median rule, from (I − Q)t = 1;
+//   - wins[i] = Pr[absorbed at N | L_0 = i], the exact probability that
+//     the left value wins from i supporters, from (I − Q)h = P[·][N].
+//     wins[0] = 0, wins[N] = 1, and by the symmetry of the dynamics
+//     wins[i] + wins[N−i] = 1.
+//
+// Partial pivoting depends only on I − Q, and each right-hand column is
+// eliminated and back-substituted on its own, so each result is
+// bit-identical to solving its system alone.
+func (c *Chain) Solve() (times, wins []float64) {
 	n := c.N
 	m := n - 1 // transient states 1..n-1
+	times = make([]float64, n+1)
+	wins = make([]float64, n+1)
+	wins[n] = 1
 	if m <= 0 {
-		return make([]float64, n+1)
+		return times, wins
 	}
-	a := newAugmented(c, func(i int) []float64 { return []float64{1} })
-	solve(a, m, 1)
-	t := make([]float64, n+1)
+	a := newAugmented(c, func(i int) []float64 { return []float64{1, c.P[i][n]} })
+	solve(a, m, 2)
 	for i := 1; i < n; i++ {
-		t[i] = a[i-1][m]
+		times[i] = a[i-1][m]
+		wins[i] = a[i-1][m+1]
 	}
-	return t
+	return times, wins
 }
 
-// WinProbabilities returns h[i] = Pr[absorbed at N | L_0 = i]: the exact
-// probability that the left value wins from i supporters. h[0] = 0,
-// h[N] = 1, and by the symmetry of the dynamics h[i] + h[N−i] = 1.
+// AbsorptionTimes returns the expected absorption times of Solve.
+func (c *Chain) AbsorptionTimes() []float64 {
+	times, _ := c.Solve()
+	return times
+}
+
+// WinProbabilities returns the win probabilities of Solve.
 func (c *Chain) WinProbabilities() []float64 {
-	n := c.N
-	m := n - 1
-	h := make([]float64, n+1)
-	h[n] = 1
-	if m <= 0 {
-		return h
-	}
-	a := newAugmented(c, func(i int) []float64 { return []float64{c.P[i][n]} })
-	solve(a, m, 1)
-	for i := 1; i < n; i++ {
-		h[i] = a[i-1][m]
-	}
-	return h
+	_, wins := c.Solve()
+	return wins
 }
 
 // AbsorptionCDF returns F[t] = Pr[absorbed by round t | L_0 = start] for
@@ -260,9 +285,10 @@ func newAugmented(c *Chain, rhs func(i int) []float64) [][]float64 {
 	m := n - 1
 	k := len(rhs(1))
 	a := make([][]float64, m)
+	cells := make([]float64, m*(m+k))
 	for r := 0; r < m; r++ {
 		i := r + 1
-		row := make([]float64, m+k)
+		row := cells[r*(m+k) : (r+1)*(m+k) : (r+1)*(m+k)]
 		for cIdx := 0; cIdx < m; cIdx++ {
 			j := cIdx + 1
 			row[cIdx] = -c.P[i][j]

@@ -328,6 +328,81 @@ func TestRowsRenormalized(t *testing.T) {
 	}
 }
 
+// TestLogFactorialTableIsBitIdentical: the chain's PMFs read one
+// log-factorial table, and must equal, bit for bit, the PMFs computed
+// with three Lgamma calls per entry — the chain's rows, and so every
+// exact result, do not depend on the table.
+func TestLogFactorialTableIsBitIdentical(t *testing.T) {
+	const n = 200
+	ref := func(n int, p float64) []float64 {
+		pmf := make([]float64, n+1)
+		switch {
+		case p == 0:
+			pmf[0] = 1
+			return pmf
+		case p == 1:
+			pmf[n] = 1
+			return pmf
+		}
+		logP, logQ := math.Log(p), math.Log1p(-p)
+		lgN, _ := math.Lgamma(float64(n + 1))
+		for k := 0; k <= n; k++ {
+			lgK, _ := math.Lgamma(float64(k + 1))
+			lgNK, _ := math.Lgamma(float64(n - k + 1))
+			pmf[k] = math.Exp(lgN - lgK - lgNK + float64(k)*logP + float64(n-k)*logQ)
+		}
+		return pmf
+	}
+	lf := logFactorials(n)
+	for i := 0; i <= n; i++ {
+		p := float64(i) / float64(n)
+		for _, tc := range []struct {
+			size int
+			q    float64
+		}{{i, StayProb(p)}, {n - i, DefectProb(p)}} {
+			got := make([]float64, tc.size+1)
+			binomialInto(got, tc.q, lf)
+			for k, w := range ref(tc.size, tc.q) {
+				if math.Float64bits(got[k]) != math.Float64bits(w) {
+					t.Fatalf("Bin(%d, %v)[%d] = %v, want %v", tc.size, tc.q, k, got[k], w)
+				}
+			}
+		}
+	}
+}
+
+// TestSolveMatchesSingleColumnSolves: Solve eliminates both right-hand
+// sides at once, and each of its columns must be bit-identical to
+// solving that system alone — pivoting depends only on I − Q.
+func TestSolveMatchesSingleColumnSolves(t *testing.T) {
+	for _, n := range []int{2, 7, 60, 200} {
+		c := NewChain(n)
+		times, wins := c.Solve()
+		m := n - 1
+		single := func(rhs func(i int) []float64) []float64 {
+			a := newAugmented(c, rhs)
+			solve(a, m, 1)
+			out := make([]float64, m)
+			for r := range out {
+				out[r] = a[r][m]
+			}
+			return out
+		}
+		wantT := single(func(int) []float64 { return []float64{1} })
+		wantW := single(func(i int) []float64 { return []float64{c.P[i][n]} })
+		for i := 1; i < n; i++ {
+			if math.Float64bits(times[i]) != math.Float64bits(wantT[i-1]) ||
+				math.Float64bits(wins[i]) != math.Float64bits(wantW[i-1]) {
+				t.Fatalf("n=%d state %d: Solve (%v, %v), single-column solves (%v, %v)",
+					n, i, times[i], wins[i], wantT[i-1], wantW[i-1])
+			}
+		}
+		if times[0] != 0 || times[n] != 0 || wins[0] != 0 || wins[n] != 1 {
+			t.Fatalf("n=%d: absorbing states times (%v, %v) wins (%v, %v)", n, times[0], times[n], wins[0], wins[n])
+		}
+	}
+}
+
 // TestSolveDegeneratePivotPanics: a poisoned (NaN) system must fail loudly
 // in the solver, not propagate NaN into every returned expectation.
 // math.Abs(NaN) compares false against any threshold, so the pre-fix code

@@ -124,8 +124,7 @@ func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
 		start = n / 2
 	}
 	c := NewChain(n)
-	times := c.AbsorptionTimes()
-	wins := c.WinProbabilities()
+	times, wins := c.Solve()
 	dist, err := startDist(n, init, start)
 	if err != nil {
 		return engine.Result{}, err

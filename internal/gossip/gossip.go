@@ -17,6 +17,15 @@
 // with the requester's own value (median(v, v, x) = v, so a dropped sample
 // conservatively keeps the requester's value — it never invents one).
 //
+// The private numberings are not materialized. A process contacts a
+// uniformly random index of its numbering, and a uniform index into any
+// fixed permutation is a uniform peer, so drawing the numbering changes no
+// statistic of the run — it would only cost n² memory and RNG draws. The
+// simulator draws each request's target directly and keeps O(n) state.
+// Requester indices are the simulator's internal bookkeeping: a
+// DropSelector sees them to decide which requests to answer, and no
+// process ever learns another's index.
+//
 // The conformance experiments (E12) show this message-level simulator and
 // the balls-and-bins engines produce statistically indistinguishable
 // convergence behaviour: with the default capacity c·⌈log₂ n⌉ the drop rate
@@ -66,32 +75,30 @@ type DropValue struct {
 	// state gives the selector read access to current values; wired by the
 	// network each round.
 	state []Value
+	// kept is the selection buffer Select returns, reused across calls.
+	kept []int32
 }
 
-// Select implements DropSelector.
+// Select implements DropSelector. The returned slice is reused by the
+// next call.
 func (d *DropValue) Select(_ int, requesters []int32, cap int, _ model.Rand) []int32 {
 	if len(requesters) <= cap {
 		return requesters
 	}
-	kept := make([]int32, 0, cap)
-	// First pass: keep non-victims.
+	kept := d.kept[:0]
+	// First pass: keep non-victims; then fill the remaining slots with
+	// victims.
 	for _, q := range requesters {
-		if len(kept) == cap {
-			return kept
-		}
-		if d.state == nil || d.state[q] != d.Victim {
+		if len(kept) < cap && (d.state == nil || d.state[q] != d.Victim) {
 			kept = append(kept, q)
 		}
 	}
-	// Fill remaining slots with victims if capacity remains.
 	for _, q := range requesters {
-		if len(kept) == cap {
-			break
-		}
-		if d.state != nil && d.state[q] == d.Victim {
+		if len(kept) < cap && d.state != nil && d.state[q] == d.Victim {
 			kept = append(kept, q)
 		}
 	}
+	d.kept = kept
 	return kept
 }
 
@@ -140,25 +147,34 @@ type Stats struct {
 type Network struct {
 	values  []Value
 	next    []Value
-	wiring  wiring // private numbering per process
 	rule    model.Rule
 	adv     model.Adversary
 	allowed []Value
 	opts    Options
+	sel     DropSelector // opts.Selector, KeepFirst when nil
 	g       *rng.Xoshiro256
 	cap     int
 	round   int
 	stats   Stats
 
-	// scratch per round
-	reqFrom [][]int32       // requests received by each target
-	pending [][]int32       // requester -> granted sample sources
+	// Per-round scratch, sized once in New. Request slot i·s+k is the
+	// k-th request of process i (s = rule.Samples()).
+	targets []int32         // slot → target process
+	granted []bool          // slot → answered by its target
+	start   []int32         // target t's requests are byT[start[t]:start[t+1]]
+	byT     []int32         // request slots grouped by target, in arrival order
+	sampled []Value         // one process's samples, handed to rule.Update
 	distm   map[Value]int64 // observer distribution aggregation
 }
 
-// New builds a network of len(cfg) processes initialised with cfg. The
-// private numberings are sampled once at construction (they are fixed
-// wiring, not per-round randomness).
+// MaxRequestSlots bounds n·s, the requests of one round for s samples per
+// process: request slots are indexed by int32.
+const MaxRequestSlots = math.MaxInt32
+
+// New builds a network of len(cfg) processes initialised with cfg. All
+// per-round scratch is allocated here, so memory is O(n·s) for s samples
+// per process and a round allocates nothing. It panics when n·s exceeds
+// MaxRequestSlots.
 func New(cfg assign.Config, rule model.Rule, adv model.Adversary, seed uint64, opts Options) *Network {
 	n := len(cfg)
 	if n == 0 {
@@ -167,65 +183,30 @@ func New(cfg assign.Config, rule model.Rule, adv model.Adversary, seed uint64, o
 	if rule == nil {
 		panic("gossip: nil rule")
 	}
-	g := rng.NewXoshiro256(seed)
-	nw := &Network{
+	if int64(n)*int64(rule.Samples()) > MaxRequestSlots {
+		panic("gossip: n·samples exceeds MaxRequestSlots")
+	}
+	sel := opts.Selector
+	if sel == nil {
+		sel = KeepFirst{}
+	}
+	s := rule.Samples()
+	return &Network{
 		values:  cfg.Clone(),
 		next:    make([]Value, n),
 		rule:    rule,
 		adv:     adv,
 		opts:    opts,
-		g:       g,
+		sel:     sel,
+		g:       rng.NewXoshiro256(seed),
 		allowed: allowedOf(cfg),
 		cap:     Capacity(n, opts.CapFactor),
-		reqFrom: make([][]int32, n),
+		targets: make([]int32, n*s),
+		granted: make([]bool, n*s),
+		start:   make([]int32, n+1),
+		byT:     make([]int32, n*s),
+		sampled: make([]Value, s),
 	}
-	nw.wiring = newWiring(n, g)
-	return nw
-}
-
-// wiring holds every process's private numbering row-major in one n·n
-// array: process i's k-th peer is ids[i·n+k]. Peer ids are 16 bits wide
-// while n ≤ 2^16 — the wiring is the kind's dominant allocation, n²
-// entries, so this halves it — and 32 bits beyond.
-type wiring struct {
-	n     int
-	ids16 []uint16
-	ids32 []int32
-}
-
-// newWiring draws the n private numberings. Each row is a uniform
-// permutation from the inside-out Fisher–Yates of rng.Perm, run directly
-// on the row, so the Intn sequence — and thus the wiring — is exactly
-// that of n successive Perm(n) calls.
-func newWiring(n int, g *rng.Xoshiro256) wiring {
-	w := wiring{n: n}
-	if n <= 1<<16 {
-		w.ids16 = make([]uint16, n*n)
-		fillPerms(w.ids16, n, g)
-	} else {
-		w.ids32 = make([]int32, n*n)
-		fillPerms(w.ids32, n, g)
-	}
-	return w
-}
-
-func fillPerms[T uint16 | int32](ids []T, n int, g *rng.Xoshiro256) {
-	for i := 0; i < n; i++ {
-		row := ids[i*n : (i+1)*n]
-		for k := 1; k < n; k++ {
-			j := g.Intn(k + 1)
-			row[k] = row[j]
-			row[j] = T(k)
-		}
-	}
-}
-
-// peer returns process i's k-th peer.
-func (w *wiring) peer(i, k int) int32 {
-	if w.ids16 != nil {
-		return int32(w.ids16[i*w.n+k])
-	}
-	return w.ids32[i*w.n+k]
 }
 
 // Capacity is the per-round incoming-request capacity of each process in
@@ -259,9 +240,11 @@ func (nw *Network) Cap() int { return nw.cap }
 func (nw *Network) Round() int { return nw.round }
 
 // Step executes one synchronous round of the message-passing protocol.
+//
+//consensus:hotpath
 func (nw *Network) Step() {
 	n := len(nw.values)
-	s := nw.rule.Samples()
+	s := len(nw.sampled)
 
 	// 1. Adversary rewrites states at the beginning of the round.
 	if nw.adv != nil {
@@ -270,77 +253,88 @@ func (nw *Network) Step() {
 		}
 	}
 	// Give value-aware drop selectors visibility of the post-corruption state.
-	if dv, ok := nw.opts.Selector.(*DropValue); ok {
+	if dv, ok := nw.sel.(*DropValue); ok {
 		dv.state = nw.values
 	}
 
-	// 2. Each process issues s requests through its private numbering.
-	//    targets[i*s+k] is the k-th target of process i.
-	for t := range nw.reqFrom {
-		nw.reqFrom[t] = nw.reqFrom[t][:0]
-	}
-	targets := make([]int32, n*s)
-	for i := 0; i < n; i++ {
-		for k := 0; k < s; k++ {
-			// A uniform index into the private numbering is a uniform
-			// peer; index n-? : perm has length n including self at some
-			// position, so self-sampling occurs naturally.
-			t := nw.wiring.peer(i, nw.g.Intn(n))
-			targets[i*s+k] = t
-			nw.reqFrom[t] = append(nw.reqFrom[t], int32(i))
-		}
+	// 2. Each process issues s requests to uniform peers (possibly
+	//    itself): a uniform index into a private numbering is a uniform
+	//    peer, so the numbering itself is never drawn. start[t] counts
+	//    target t's requests.
+	start := nw.start
+	clear(start)
+	for slot := range nw.targets {
+		t := int32(nw.g.Intn(n))
+		nw.targets[slot] = t
+		start[t]++
 	}
 	nw.stats.RequestsSent += int64(n * s)
 
-	// 3. Capacity filtering at each target.
-	granted := make(map[int64]bool, n*s) // key: target<<32 | requester... see key()
-	sel := nw.opts.Selector
-	if sel == nil {
-		sel = KeepFirst{}
+	// Group the slots by target (a counting sort): after the prefix sums
+	// start[t] is the end of t's group, and filling from the last slot
+	// down leaves each group in arrival order with start[t] at its head.
+	for t := 1; t < n; t++ {
+		start[t] += start[t-1]
 	}
+	for slot := len(nw.targets) - 1; slot >= 0; slot-- {
+		t := nw.targets[slot]
+		start[t]--
+		nw.byT[start[t]] = int32(slot)
+	}
+	start[n] = int32(len(nw.targets))
+
+	// 3. Capacity filtering at each target. An unsaturated target answers
+	//    every request; at a saturated one the selector picks requesters
+	//    to keep, and a kept requester's duplicate requests to the target
+	//    are answered together (one response serves both samples).
 	for t := 0; t < n; t++ {
-		reqs := nw.reqFrom[t]
+		reqs := nw.byT[start[t]:start[t+1]]
 		if len(reqs) > nw.stats.MaxInDegree {
 			nw.stats.MaxInDegree = len(reqs)
 		}
 		if len(reqs) <= nw.cap {
-			for _, q := range reqs {
-				granted[key(t, q)] = true
+			for _, slot := range reqs {
+				nw.granted[slot] = true
 			}
 			continue
 		}
-		kept := sel.Select(t, reqs, nw.cap, nw.g)
+		// The group's slots become requester indices in place: the
+		// selector sees processes, and a kept process's slots are found
+		// again from targets.
+		for x, slot := range reqs {
+			nw.granted[slot] = false
+			reqs[x] = slot / int32(s)
+		}
+		kept := nw.sel.Select(t, reqs, nw.cap, nw.g)
 		if len(kept) > nw.cap {
 			kept = kept[:nw.cap]
 		}
 		nw.stats.RequestsDropped += int64(len(reqs) - len(kept))
 		for _, q := range kept {
-			granted[key(t, q)] = true
+			for slot := int(q) * s; slot < int(q+1)*s; slot++ {
+				if nw.targets[slot] == int32(t) {
+					nw.granted[slot] = true
+				}
+			}
 		}
 	}
 
 	// 4. Responses and local update. A dropped request contributes the
-	//    requester's own value. Note: duplicate requests to the same target
-	//    are granted together (one response serves both samples).
-	sampled := make([]Value, s)
+	//    requester's own value.
 	for i := 0; i < n; i++ {
 		own := nw.values[i]
 		for k := 0; k < s; k++ {
-			t := targets[i*s+k]
-			if granted[key(int(t), int32(i))] {
-				sampled[k] = nw.values[t]
+			slot := i*s + k
+			if nw.granted[slot] {
+				nw.sampled[k] = nw.values[nw.targets[slot]]
 			} else {
-				sampled[k] = own
+				nw.sampled[k] = own
 			}
 		}
-		nw.next[i] = nw.rule.Update(own, sampled)
+		nw.next[i] = nw.rule.Update(own, nw.sampled)
 	}
 	nw.values, nw.next = nw.next, nw.values
 	nw.round++
-}
-
-func key(target int, requester int32) int64 {
-	return int64(target)<<32 | int64(uint32(requester))
 }
 
 // Run executes rounds until consensus / almost-stability / MaxRounds,

@@ -2,11 +2,13 @@ package gossip
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/adversary"
 	"repro/internal/assign"
 	"repro/internal/core"
+	"repro/internal/initspec"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -196,41 +198,89 @@ func TestNetworkPanics(t *testing.T) {
 	}()
 }
 
-func TestPrivateNumberingsArePermutations(t *testing.T) {
-	cfg := assign.AllDistinct(50)
-	nw := New(cfg, rules.Median{}, nil, 21, Options{})
-	for i := 0; i < 50; i++ {
-		seen := make([]bool, 50)
-		for k := 0; k < 50; k++ {
-			v := nw.wiring.peer(i, k)
-			if v < 0 || int(v) >= 50 || seen[v] {
-				t.Fatalf("process %d: invalid numbering at %d: %d", i, k, v)
-			}
-			seen[v] = true
-		}
+// TestNewMemoryIsLinear: the network holds O(n) state. The private
+// numberings are not materialized, so building a network of 4096
+// processes stays far below the 32 MiB an n·n int16 table would take.
+func TestNewMemoryIsLinear(t *testing.T) {
+	cfg := assign.AllDistinct(4096)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nw := New(cfg, rules.Median{}, nil, 1, Options{})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(nw)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("New(n=4096) allocated %d bytes, want < 1 MiB", got)
 	}
 }
 
-// TestWiringIsPermSequence: both wiring widths hold exactly the rows n
-// successive rng.Perm(n) calls would draw from the same stream, so the
-// wiring (and every realization built on it) does not depend on the
-// storage layout.
-func TestWiringIsPermSequence(t *testing.T) {
-	const n, seed = 37, 9
-	ref := rng.NewXoshiro256(seed)
-	want := make([]int, 0, n*n)
-	for i := 0; i < n; i++ {
-		want = append(want, ref.Perm(n)...)
+// TestStepAllocs pins the round loop's zero-allocation contract (the
+// static hotpath check on Step complements it): after warm-up, a round
+// allocates nothing, whether or not targets saturate and whichever
+// selector answers them.
+func TestStepAllocs(t *testing.T) {
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"saturated/fair", Options{CapFactor: 0.3}},
+		{"saturated/drop-value", Options{CapFactor: 0.3, Selector: &DropValue{Victim: 2}}},
 	}
-	ids16 := make([]uint16, n*n)
-	fillPerms(ids16, n, rng.NewXoshiro256(seed))
-	ids32 := make([]int32, n*n)
-	fillPerms(ids32, n, rng.NewXoshiro256(seed))
-	w := newWiring(n, rng.NewXoshiro256(seed))
-	for x, v := range want {
-		if int(ids16[x]) != v || int(ids32[x]) != v || int(w.peer(x/n, x%n)) != v {
-			t.Fatalf("entry %d: uint16 %d, int32 %d, wiring %d; Perm %d", x, ids16[x], ids32[x], w.peer(x/n, x%n), v)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nw := New(assign.TwoValue(2000, 900, 1, 2), rules.Median{}, nil, 3, c.opts)
+			for range 4 {
+				nw.Step()
+			}
+			if avg := testing.AllocsPerRun(20, nw.Step); avg != 0 {
+				t.Fatalf("Step allocates %v times per round", avg)
+			}
+			if c.opts.CapFactor > 0 && nw.Stats().RequestsDropped == 0 {
+				t.Fatal("no request dropped; the saturated path went untested")
+			}
+		})
+	}
+}
+
+// TestSaturatedTargetGrantsDuplicates: at a saturated target, a requester
+// the selector keeps has every one of its requests to that target
+// answered, and the drop count is the number of requester entries the
+// selector left out. Cap 1 saturates every target asked twice.
+func TestSaturatedTargetGrantsDuplicates(t *testing.T) {
+	const n = 64
+	nw := New(assign.AllDistinct(n), rules.Median{}, nil, 5, Options{CapFactor: 1e-9})
+	dupGrants := 0
+	for range 20 {
+		dropped := nw.Stats().RequestsDropped
+		nw.Step()
+		grants, dups := 0, 0
+		for i := 0; i < n; i++ {
+			a, b := 2*i, 2*i+1
+			if nw.targets[a] == nw.targets[b] && nw.granted[a] != nw.granted[b] {
+				t.Fatalf("process %d: duplicate requests to %d answered %v/%v", i, nw.targets[a], nw.granted[a], nw.granted[b])
+			}
+			if nw.targets[a] == nw.targets[b] && nw.granted[a] {
+				dups++
+			}
 		}
+		requested := map[int32]bool{}
+		for slot, tgt := range nw.targets {
+			requested[tgt] = true
+			if nw.granted[slot] {
+				grants++
+			}
+		}
+		// Each requested target keeps exactly one requester.
+		if grants != len(requested)+dups {
+			t.Fatalf("%d requests answered, want one per requested target (%d) plus %d duplicates", grants, len(requested), dups)
+		}
+		if got, want := nw.Stats().RequestsDropped-dropped, int64(2*n-len(requested)); got != want {
+			t.Fatalf("dropped %d, want %d", got, want)
+		}
+		dupGrants += dups
+	}
+	if dupGrants == 0 {
+		t.Fatal("no answered duplicate request: the seed no longer exercises duplicates")
 	}
 }
 
@@ -348,5 +398,21 @@ func TestDistIntoAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state observation allocates (%v allocs/round)", avg)
+	}
+}
+
+// TestValidateBoundsRequestSlots: request slots are int32-indexed, so a
+// spec whose round would issue more than MaxRequestSlots requests is
+// rejected at validation instead of overflowing a slot index.
+func TestValidateBoundsRequestSlots(t *testing.T) {
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{{MaxRequestSlots / 2, true}, {MaxRequestSlots/2 + 1, false}} {
+		s := &Spec{Init: initspec.Spec{Kind: "twovalue", N: tc.n}}
+		s.Normalize()
+		if err := s.Validate(); (err == nil) != tc.ok {
+			t.Fatalf("n=%d (median, 2 samples): Validate() = %v, want ok=%v", tc.n, err, tc.ok)
+		}
 	}
 }

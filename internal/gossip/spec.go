@@ -100,8 +100,12 @@ func (s *Spec) Validate() error {
 	if err := initspec.Check(s.Init); err != nil {
 		return err
 	}
-	if _, err := s.ruleOrDefault().New(); err != nil {
+	r, err := s.ruleOrDefault().New()
+	if err != nil {
 		return err
+	}
+	if slots := initspec.Size(s.Init) * int64(r.Samples()); slots > MaxRequestSlots {
+		return fmt.Errorf("gossip: n·samples = %d request slots per round exceeds %d", slots, MaxRequestSlots)
 	}
 	if s.Adversary != nil {
 		if _, err := s.Adversary.New(); err != nil {
@@ -199,8 +203,10 @@ func (gossipEngine) Descriptor() engine.Descriptor {
 		engine.Param{Name: "window", Type: "int", Min: engine.Bound(0), Default: "8", Doc: "stability window"},
 	)
 	return engine.Descriptor{
-		Kind:    "gossip",
-		Summary: "full message-passing simulation of the paper's network model: private peer numberings, per-round request caps, named drop selectors",
+		Kind: "gossip",
+		Summary: "full message-passing simulation of the paper's network model in O(n) memory: uniform peer requests " +
+			"(a uniform index into a private numbering is a uniform peer, so numberings are never materialized; " +
+			"requester indices stay internal), per-round request caps, named drop selectors",
 		Params:  params,
 		Axes:    []string{"n", "m", "n_low", "cap_factor"},
 		Example: []byte(`{"init":{"kind":"twovalue","n":48}}`),

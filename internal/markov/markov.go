@@ -232,25 +232,29 @@ func Solve(a [][]float64, m, k int) bool {
 			return false
 		}
 		a[col], a[piv] = a[piv], a[col]
-		inv := 1 / a[col][col]
+		pivot := a[col][col : m+k]
+		inv := 1 / pivot[0]
 		for r := col + 1; r < m; r++ {
-			f := a[r][col] * inv
+			row := a[r][col : m+k]
+			row = row[:len(pivot)] // equal lengths: no bounds check below
+			f := row[0] * inv
 			if f == 0 {
 				continue
 			}
-			for j := col; j < m+k; j++ {
-				a[r][j] -= f * a[col][j]
+			for j, pv := range pivot {
+				row[j] -= f * pv
 			}
 		}
 	}
 	// Back substitution: rows below r already hold their solutions.
 	for r := m - 1; r >= 0; r-- {
+		row := a[r]
 		for j := m; j < m+k; j++ {
-			v := a[r][j]
+			v := row[j]
 			for c := r + 1; c < m; c++ {
-				v -= a[r][c] * a[c][j]
+				v -= row[c] * a[c][j]
 			}
-			a[r][j] = v / a[r][r]
+			row[j] = v / row[r]
 		}
 	}
 	return true

@@ -648,9 +648,8 @@ func E19ExactValidation(s Scale) Report {
 	for _, tc := range []struct{ n, start int }{
 		{20, 10}, {60, 30}, {60, 20}, {120, 50},
 	} {
-		chain := exact.NewChain(tc.n)
-		exT := chain.AbsorptionTimes()[tc.start]
-		exW := chain.WinProbabilities()[tc.start]
+		times, winProbs := exact.NewChain(tc.n).Solve()
+		exT, exW := times[tc.start], winProbs[tc.start]
 		var sumR float64
 		wins := 0
 		for k := 0; k < trials; k++ {

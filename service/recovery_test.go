@@ -100,6 +100,22 @@ func waitTerminal(t *testing.T, url, id string) service.JobView {
 	return service.JobView{}
 }
 
+// waitAppended polls /v1/metrics until store_records_appended reaches
+// want and returns that snapshot. A run's store append follows its done
+// status (the worker appends after caching and waking waiters), so a
+// metrics read right after a run turns done can lag one append.
+func waitAppended(t *testing.T, url string, want int64) service.MetricsSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		m := getMetrics(t, url)
+		if m.StoreRecordsAppended >= want || time.Now().After(deadline) {
+			return m
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func getMetrics(t *testing.T, url string) service.MetricsSnapshot {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/metrics")
@@ -187,7 +203,7 @@ func populateAndRestart(t *testing.T, storePath string) [][]byte {
 			t.Fatalf("run %d streamed nothing", i)
 		}
 	}
-	m := getMetrics(t, ts.URL)
+	m := waitAppended(t, ts.URL, int64(len(recoverySpecs)))
 	if m.StoreRecordsAppended != int64(len(recoverySpecs)) {
 		t.Fatalf("store_records_appended = %d, want %d", m.StoreRecordsAppended, len(recoverySpecs))
 	}
@@ -352,7 +368,7 @@ func TestRetentionRestartE2E(t *testing.T) {
 		}
 		waitTerminal(t, ts.URL, view.ID)
 	}
-	if m = getMetrics(t, ts.URL); m.StoreRecordsAppended != dropped {
+	if m = waitAppended(t, ts.URL, dropped); m.StoreRecordsAppended != dropped {
 		t.Fatalf("store_records_appended = %d after re-runs, want %d", m.StoreRecordsAppended, dropped)
 	}
 	// The re-run appends overflow the budget and kick background GC. Its

@@ -725,6 +725,13 @@ func (s *Service) finish(j *Job, st Status, res *RunResult, errMsg string) {
 	}
 	j.result = res
 	j.errMsg = errMsg
+	// Cache before the terminal status becomes visible: a client that
+	// sees done and resubmits at once must hit the cache. Cache before
+	// clearing the pending entry too, so a concurrent Submit that misses
+	// the pending map hits the cache.
+	if st == StatusDone {
+		s.cache.put(j.hash, &cacheEntry{result: *res, records: records, truncated: truncated})
+	}
 	j.wake()
 	j.mu.Unlock()
 
@@ -740,9 +747,6 @@ func (s *Service) finish(j *Job, st Status, res *RunResult, errMsg string) {
 		elapsed = finished.Sub(started).Seconds()
 		s.metrics.runDuration.With(kind).ObserveDuration(finished.Sub(started))
 		s.metrics.roundsPerRun.With(kind).Observe(int64(res.Rounds))
-		// Cache before clearing the pending entry: a concurrent Submit
-		// that misses the pending map must then hit the cache.
-		s.cache.put(j.hash, &cacheEntry{result: *res, records: records, truncated: truncated})
 		s.metrics.jobsCompleted.Add(1)
 		// Write through to the persistent store. A write failure must not
 		// fail the job — the result is correct and cached — so it is only

@@ -303,7 +303,9 @@ func TestCanonicalHashKinds(t *testing.T) {
 // (see TestSpecVersionMigration in service/store). Version 2 bumped
 // them again: the encoding is unchanged, but the median kind's fixed-seed
 // realizations changed with the count engine's transition round, so v1
-// results must not be served under the new keys.
+// results must not be served under the new keys. Version 3 bumped them
+// once more for the gossip kind's new realizations (request targets drawn
+// directly, no materialized private numbering).
 func TestGoldenHashes(t *testing.T) {
 	cases := []struct {
 		kind      string
@@ -317,8 +319,8 @@ func TestGoldenHashes(t *testing.T) {
 				Init: InitSpec{Kind: "twovalue", N: 1000},
 				Rule: RuleSpec{Name: "median"},
 			}),
-			canonical: `{"engine":"auto","init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"median","rule":{"name":"median"},"seed":1,"timing":"before-round","v":2}`,
-			hash:      "a32fc45202e289639128767e505aed94ffdca0cfb74095c2263957906b29af5e",
+			canonical: `{"engine":"auto","init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"median","rule":{"name":"median"},"seed":1,"timing":"before-round","v":3}`,
+			hash:      "9cfd46f4608f4935347a3be4250c3dce822e6e6e4d399f20244f33011e5855cd",
 		},
 		{
 			kind: KindGossip,
@@ -326,8 +328,8 @@ func TestGoldenHashes(t *testing.T) {
 				Init:     InitSpec{Kind: "twovalue", N: 1000},
 				Selector: "drop-value:2",
 			}},
-			canonical: `{"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"gossip","rule":{"name":"median"},"seed":1,"selector":"drop-value:2","v":2}`,
-			hash:      "4c7fe79b39c4cb4e9ed0bf65bbb4e7735093538cdd5dfedb092b47418bf1d25f",
+			canonical: `{"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"gossip","rule":{"name":"median"},"seed":1,"selector":"drop-value:2","v":3}`,
+			hash:      "642bf9bd6880aada5fb6d4b4e9d208cf1f10eb0b60f2b3b3b518d4163bc3aa89",
 		},
 		{
 			// The engine selector is canonical since PR 4 ("" → "auto",
@@ -337,8 +339,8 @@ func TestGoldenHashes(t *testing.T) {
 			spec: Spec{Kind: KindMultidim, Seed: 1, Payload: &MultidimSpec{
 				Init: multidim.InitSpec{Kind: "random", N: 1000, D: 2, M: 8, Seed: 1},
 			}},
-			canonical: `{"engine":"auto","init":{"kind":"random","n":1000,"d":2,"m":8,"seed":1},"kind":"multidim","seed":1,"v":2}`,
-			hash:      "d25c5856ec1385c010b3ca658dc2c9e9d9bbc66554deea2cf34a859316802297",
+			canonical: `{"engine":"auto","init":{"kind":"random","n":1000,"d":2,"m":8,"seed":1},"kind":"multidim","seed":1,"v":3}`,
+			hash:      "74d5575eadfd4fd5bf0e86ebc4ed303038c8e2a84268294b423d87ec61352fe0",
 		},
 		{
 			// An explicit count-level engine is part of the cache key: a
@@ -349,8 +351,8 @@ func TestGoldenHashes(t *testing.T) {
 				Init:   multidim.InitSpec{Kind: "random", N: 100000, D: 2, M: 4, Seed: 1},
 				Engine: multidim.EngineCount,
 			}},
-			canonical: `{"engine":"count","init":{"kind":"random","n":100000,"d":2,"m":4,"seed":1},"kind":"multidim","seed":1,"v":2}`,
-			hash:      "e9a221fb5c50019b67bfce94d27218bdaf425833de8e258b7fd041a8ac1f9cf3",
+			canonical: `{"engine":"count","init":{"kind":"random","n":100000,"d":2,"m":4,"seed":1},"kind":"multidim","seed":1,"v":3}`,
+			hash:      "e9291744d0945c2b655a8241c96974c3da52528188d013eea9b46f989261ea11",
 		},
 		{
 			// A billion-process count-path spec: the hash (and the seed
@@ -363,8 +365,8 @@ func TestGoldenHashes(t *testing.T) {
 				Init:      multidim.InitSpec{Kind: "random", N: 1_000_000_000, D: 2, M: 2, Seed: 3},
 				Adversary: &MultidimAdversarySpec{Name: "noise"},
 			}},
-			canonical: `{"adversary":{"name":"noise"},"engine":"auto","init":{"kind":"random","n":1000000000,"d":2,"m":2,"seed":3},"kind":"multidim","seed":1,"v":2}`,
-			hash:      "ac645ea312b6a23492ceedfc5ae250da03e1ff3243c9a9cf53270aedb7c40b92",
+			canonical: `{"adversary":{"name":"noise"},"engine":"auto","init":{"kind":"random","n":1000000000,"d":2,"m":2,"seed":3},"kind":"multidim","seed":1,"v":3}`,
+			hash:      "5f89cb68bdd960186397542ed7449ae78730bd267a39d4701c130db29ef37863",
 		},
 		{
 			kind: KindRobust,
@@ -372,8 +374,8 @@ func TestGoldenHashes(t *testing.T) {
 				Init:     InitSpec{Kind: "twovalue", N: 1000},
 				LossProb: 0.1, Crashes: 10,
 			}},
-			canonical: `{"crashes":10,"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"robust","loss_prob":0.1,"mode":"responsive","seed":1,"v":2}`,
-			hash:      "76d355ff80bf69e6ef07b2448f90fef5035d9f6510f7aa8553150a0cff1feff5",
+			canonical: `{"crashes":10,"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"robust","loss_prob":0.1,"mode":"responsive","seed":1,"v":3}`,
+			hash:      "62935ab8884064f782dc6b2590400ded4427de83cc8167528463dac31f4aa6a8",
 		},
 		{
 			// The analytic kind: its result never depends on the seed, but
@@ -382,8 +384,8 @@ func TestGoldenHashes(t *testing.T) {
 			// two store entries with byte-identical results.
 			kind:      KindExact,
 			spec:      Spec{Kind: KindExact, Seed: 1, Payload: &ExactSpec{N: 64, Start: 16}},
-			canonical: `{"init":"point","kind":"exact","n":64,"seed":1,"start":16,"v":2}`,
-			hash:      "cd11c041e837e70f108fd9ea51cac7a6fa34f4d111237bfcd301804f49d024b5",
+			canonical: `{"init":"point","kind":"exact","n":64,"seed":1,"start":16,"v":3}`,
+			hash:      "24804e107ffb7ca350537bdd55d1407589ffcecd7c67bbe6234931d6bc990ebf",
 		},
 	}
 	for _, c := range cases {

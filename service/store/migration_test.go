@@ -32,7 +32,9 @@ func copyFixture(t *testing.T, name string) string {
 //   - testdata/store_specv0.golden predates the "v" field (its record's
 //     spec decodes with V == 0);
 //   - testdata/store_specv1.golden carries "v":1, written before version 2
-//     changed the median kind's fixed-seed realizations.
+//     changed the median kind's fixed-seed realizations;
+//   - testdata/store_specv2.golden carries "v":2, written before version 3
+//     changed the gossip kind's fixed-seed realizations.
 //
 // A current binary must preserve each such frame opaquely — never load
 // it, never serve it under a re-derived key, never destroy it — while
@@ -45,6 +47,7 @@ func TestSpecVersionMigration(t *testing.T) {
 	}{
 		{"store_specv0.golden", "ea2ebade08e1135d6271f5f56cde869f7a8ebe539bc4fd01e651f3e9343bfc46"},
 		{"store_specv1.golden", "aeb02d6c4e71cc3c995b529cb5add4574dadca5de20f33372de9c40bfed5ef6a"},
+		{"store_specv2.golden", "136dcb6f3fd39cafaee06b83c250dee3231a4c085208a96707e3dc90876a7874"},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) { checkOldSpecPreserved(t, tc.fixture, tc.oldHash) })
 	}
