@@ -638,13 +638,30 @@ func BenchmarkMultidimEngines(b *testing.B) {
 
 // --- E19: exact-chain validation benches -----------------------------------
 
-// BenchmarkExactChain is the exact kind's init: build the n = 200 chain
-// (the sweep's exact cell) and solve absorption times and win
+// BenchmarkExactChain is the exact kind's cold init: build the n = 200
+// chain (the sweep's exact cell) and solve absorption times and win
 // probabilities in one elimination.
 func BenchmarkExactChain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, _ = exact.NewChain(200).Solve()
+	}
+}
+
+// BenchmarkExactRun is an exact n = 200 run as the service executes it,
+// with the chain already solved: one run per seed pays only its CDF
+// propagation.
+func BenchmarkExactRun(b *testing.B) {
+	b.ReportAllocs()
+	run := func(seed uint64) {
+		if _, err := engine.Execute(engine.Spec{Kind: "exact", Seed: seed, Payload: &exact.Spec{N: 200}}, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(uint64(i + 1))
 	}
 }
 

@@ -61,6 +61,22 @@ import (
 	"repro/service"
 )
 
+// Timeouts of the public listener: a client has readHeaderTimeout to send
+// a request's headers, so a stalled or trickled header cannot hold a
+// connection open, and an idle keep-alive connection is closed after
+// idleTimeout. There is no write timeout, because /v1/runs/{id}/stream and
+// /v1/events keep their responses open for as long as a run or a follower
+// lasts.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns the public API server for handler h on addr.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	addr := flag.String("addr", ":8645", "listen address")
 	workers := flag.Int("service-workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
@@ -137,7 +153,7 @@ func main() {
 			"records", m.StoreRecordsLoaded, "dropped", m.StoreRecordsDropped,
 			"compactions", m.StoreCompactions)
 	}
-	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	server := newServer(*addr, svc.Handler())
 
 	// The debug listener is deliberately a separate mux on a separate
 	// port: pprof handlers and the raw metric exposition never appear on

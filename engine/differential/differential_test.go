@@ -141,7 +141,8 @@ func meanStd(xs []int) (mean, sd float64) {
 // absorption time. A bias in the transition round (count) or the sampling
 // loop (count/sampled) shifts the mean and trips the band.
 func TestDifferentialAbsorptionTime(t *testing.T) {
-	want := exact.NewChain(timeN).AbsorptionTimes()[timeStart]
+	times, _ := exact.NewChain(timeN).Solve()
+	want := times[timeStart]
 	for _, run := range twoValueRuns {
 		rounds, _ := simTrials(t, run, timeN, timeStart, timeTrials)
 		mean, sd := meanStd(rounds)
@@ -160,7 +161,8 @@ func TestDifferentialAbsorptionTime(t *testing.T) {
 // probability — the sharpest test of the dynamics' bias, since any
 // asymmetry in tie-breaking or sampling moves it.
 func TestDifferentialWinProbability(t *testing.T) {
-	want := exact.NewChain(winN).WinProbabilities()[winStart]
+	_, wins := exact.NewChain(winN).Solve()
+	want := wins[winStart]
 	for _, run := range twoValueRuns {
 		_, wins := simTrials(t, run, winN, winStart, winTrials)
 		got := float64(wins) / winTrials
@@ -211,11 +213,11 @@ func TestDifferentialExactKindSelfConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := exact.NewChain(timeN)
-	if got, want := res.Exact.ExpectedRounds, c.AbsorptionTimes()[timeStart]; got != want {
+	times, wins := exact.NewChain(timeN).Solve()
+	if got, want := res.Exact.ExpectedRounds, times[timeStart]; got != want {
 		t.Errorf("exact kind ExpectedRounds %v != chain %v", got, want)
 	}
-	if got, want := res.Exact.WinProbability, c.WinProbabilities()[timeStart]; got != want {
+	if got, want := res.Exact.WinProbability, wins[timeStart]; got != want {
 		t.Errorf("exact kind WinProbability %v != chain %v", got, want)
 	}
 }

@@ -210,18 +210,6 @@ func (c *Chain) Solve() (times, wins []float64) {
 	return times, wins
 }
 
-// AbsorptionTimes returns the expected absorption times of Solve.
-func (c *Chain) AbsorptionTimes() []float64 {
-	times, _ := c.Solve()
-	return times
-}
-
-// WinProbabilities returns the win probabilities of Solve.
-func (c *Chain) WinProbabilities() []float64 {
-	_, wins := c.Solve()
-	return wins
-}
-
 // AbsorptionCDF returns F[t] = Pr[absorbed by round t | L_0 = start] for
 // t = 0..maxRounds, computed by exact distribution propagation reusing two
 // ping-pong buffers (no per-round allocation). maxRounds must be >= 0 —

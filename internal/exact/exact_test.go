@@ -114,7 +114,7 @@ func TestChainSymmetry(t *testing.T) {
 
 func TestWinProbabilities(t *testing.T) {
 	c := NewChain(50)
-	h := c.WinProbabilities()
+	_, h := c.Solve()
 	if h[0] != 0 || h[50] != 1 {
 		t.Fatal("boundary win probabilities wrong")
 	}
@@ -135,7 +135,7 @@ func TestAbsorptionTimesLinearSystemResidual(t *testing.T) {
 	// The returned t must satisfy t[i] = 1 + Σ_j P[i][j]·t[j] on the
 	// transient states (t vanishes on the absorbing ones).
 	c := NewChain(35)
-	tt := c.AbsorptionTimes()
+	tt, _ := c.Solve()
 	for i := 1; i < c.N; i++ {
 		var rhs float64 = 1
 		for j := 1; j < c.N; j++ {
@@ -165,8 +165,8 @@ func TestExactMatchesTwoBinEngine(t *testing.T) {
 	// exact expected absorption time. This is the ground-truth
 	// cross-validation of the engine's binomial transition round.
 	const n, start, trials = 60, 30, 4000
-	c := NewChain(n)
-	want := c.AbsorptionTimes()[start]
+	times, _ := NewChain(n).Solve()
+	want := times[start]
 
 	g := rng.NewXoshiro256(12345)
 	var sum float64
@@ -184,8 +184,8 @@ func TestExactMatchesTwoBinEngine(t *testing.T) {
 
 func TestWinProbabilityMatchesTwoBinEngine(t *testing.T) {
 	const n, start, trials = 40, 18, 4000
-	c := NewChain(n)
-	want := c.WinProbabilities()[start]
+	_, winProbs := NewChain(n).Solve()
+	want := winProbs[start]
 
 	g := rng.NewXoshiro256(999)
 	wins := 0
@@ -221,7 +221,8 @@ func TestAbsorptionCDF(t *testing.T) {
 	for _, f := range cdf {
 		mean += 1 - f
 	}
-	want := c.AbsorptionTimes()[15]
+	times, _ := c.Solve()
+	want := times[15]
 	if math.Abs(mean-want) > 1e-3 {
 		t.Fatalf("CDF-derived mean %v vs linear-algebra mean %v", mean, want)
 	}
@@ -438,10 +439,10 @@ func BenchmarkNewChain(b *testing.B) {
 	}
 }
 
-func BenchmarkAbsorptionTimes(b *testing.B) {
+func BenchmarkSolve(b *testing.B) {
 	c := NewChain(200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.AbsorptionTimes()
+		c.Solve()
 	}
 }

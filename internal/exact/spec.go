@@ -109,12 +109,12 @@ func (s *Spec) Validate() error {
 // floats for the transition matrix, never a per-process state.
 func (s *Spec) Population() int64 { return int64(s.N) }
 
-// Run implements engine.Payload: build the chain, solve the absorption
-// systems, then propagate the start distribution emitting one record per
-// CDF round. ctx.MaxRounds caps the emitted CDF rounds (0 = propagate
-// until the absorbed mass reaches 1 − 1e-9, capped at 4096 rounds). The
-// output is deterministic in the payload alone — ctx.Seed never enters an
-// analytic computation.
+// Run implements engine.Payload: take n's solved chain from the memo
+// (building and solving it on a miss), then propagate the start
+// distribution emitting one record per CDF round. ctx.MaxRounds caps the
+// emitted CDF rounds (0 = propagate until the absorbed mass reaches
+// 1 − 1e-9, capped at 4096 rounds). The output is deterministic in the
+// payload alone — ctx.Seed never enters an analytic computation.
 func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
 	n, init, start := s.N, s.Init, s.Start
 	if init == "" {
@@ -123,14 +123,14 @@ func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
 	if init == InitPoint && start == 0 {
 		start = n / 2
 	}
-	c := NewChain(n)
-	times, wins := c.Solve()
 	dist, err := startDist(n, init, start)
 	if err != nil {
 		return engine.Result{}, err
 	}
-	expRounds := dot(times, dist)
-	winProb := dot(wins, dist)
+	sc := solvedChain(n)
+	c := sc.chain
+	expRounds := dot(sc.times, dist)
+	winProb := dot(sc.wins, dist)
 
 	next := make([]float64, n+1)
 	ctx.Observe(recordAt(0, n, dist))

@@ -85,10 +85,11 @@ func TestSpecRunMatchesChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewChain(n)
-	if want := c.AbsorptionTimes()[start]; math.Abs(res.Exact.ExpectedRounds-want) > 1e-9 {
+	times, wins := c.Solve()
+	if want := times[start]; math.Abs(res.Exact.ExpectedRounds-want) > 1e-9 {
 		t.Errorf("ExpectedRounds = %v, chain says %v", res.Exact.ExpectedRounds, want)
 	}
-	if want := c.WinProbabilities()[start]; math.Abs(res.Exact.WinProbability-want) > 1e-9 {
+	if want := wins[start]; math.Abs(res.Exact.WinProbability-want) > 1e-9 {
 		t.Errorf("WinProbability = %v, chain says %v", res.Exact.WinProbability, want)
 	}
 	if res.Reason != ReasonAnalytic {
@@ -152,8 +153,7 @@ func TestSpecRunUniformInit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewChain(n)
-	times, wins := c.AbsorptionTimes(), c.WinProbabilities()
+	times, wins := NewChain(n).Solve()
 	var wantT, wantW float64
 	for i := 1; i < n; i++ {
 		wantT += times[i]

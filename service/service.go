@@ -706,6 +706,16 @@ func (s *Service) finish(j *Job, st Status, res *RunResult, errMsg string) {
 	j.mu.Lock()
 	j.status = st
 	j.finished = time.Now()
+	// Clip the records to their length before the job history, the cache
+	// and the store share them: append leaves up to half the array as
+	// slack (33 records in 64 slots), held for as long as the job or its
+	// cache entry lives. A follower still holding the old array reads it
+	// unchanged.
+	if cap(j.records) > len(j.records) {
+		clipped := make([]RoundRecord, len(j.records))
+		copy(clipped, j.records)
+		j.records = clipped
+	}
 	records, truncated := j.records, j.truncated
 	created, started, finished := j.created, j.started, j.finished
 	// The timing breakdown is attached before the result is shared with

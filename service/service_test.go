@@ -461,3 +461,55 @@ func TestSubmitInvalidSpec(t *testing.T) {
 		t.Fatalf("rejected submissions must not count, got %d", m.JobsSubmitted)
 	}
 }
+
+// TestFinishClipsRecords: a finished job's records, which the job history
+// and the cache share, carry no append slack, and a follower that took a
+// subslice mid-run still reads the records the run emitted.
+func TestFinishClipsRecords(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	defer s.Close()
+	// Thousands of explicit CDF rounds keep the run going long enough for
+	// the follower to attach before it ends.
+	v, err := s.Submit(Spec{Kind: KindExact, MaxRounds: 1000, Payload: &ExactSpec{N: 200}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []RoundRecord
+	for held == nil {
+		recs, terminal, notify, err := s.Records(v.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if terminal {
+			t.Fatal("run finished before the follower attached")
+		}
+		if len(recs) > 0 {
+			held = recs
+			break
+		}
+		<-notify
+	}
+	final := waitDone(t, s, v.ID)
+	if final.Status != StatusDone {
+		t.Fatalf("run failed: %+v", final)
+	}
+	recs, _, _, err := s.Records(v.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1001 || cap(recs) != len(recs) {
+		t.Fatalf("job records len %d cap %d, want 1001 with no slack", len(recs), cap(recs))
+	}
+	entry, ok := s.cache.get(final.SpecHash)
+	if !ok {
+		t.Fatal("finished run is not cached")
+	}
+	if len(entry.records) != len(recs) || cap(entry.records) != len(entry.records) {
+		t.Fatalf("cache records len %d cap %d, want %d with no slack", len(entry.records), cap(entry.records), len(recs))
+	}
+	for i := range held {
+		if !reflect.DeepEqual(held[i], recs[i]) {
+			t.Fatalf("follower's record %d = %+v, final %+v", i, held[i], recs[i])
+		}
+	}
+}
